@@ -31,8 +31,9 @@ object CoverageEnhancementJob {
         case "compas"   => (CoverageData.compas(spark), CoverageData.compasAttrs, CoverageData.compasCards)
         case other      => sys.error(s"unknown dataset $other")
       }
-      val tau  = math.max(1L, (tauRate * n).toLong)
       val data = SparkCoverage.collectCompressed(df, attrs, cards)
+      // τ from the rows actually read (compas ignores the requested n)
+      val tau  = math.max(1L, (tauRate * data.total).toLong)
       val mups = DeepDiver.findMups(data, tau, lambda).mups
       val toHit = LevelExpansion.uncoveredAtLevel(mups, cards, lambda).toVector
       val t0    = System.nanoTime()

@@ -36,8 +36,9 @@ object MupIdentificationJob {
         case "combiner" => PatternCombiner
         case _          => DeepDiver
       }
-      val tau  = math.max(1L, (tauRate * n).toLong)
       val data = SparkCoverage.collectCompressed(df, attrs, cards)
+      // τ from the rows actually read (compas ignores the requested n)
+      val tau  = math.max(1L, (tauRate * data.total).toLong)
       val t0   = System.nanoTime()
       val res  = algo.findMups(data, tau, if (maxLvl <= 0) Int.MaxValue else maxLvl)
       val secs = (System.nanoTime() - t0) / 1e9

@@ -8,7 +8,8 @@ package repro.core
   * against the per-combo tuple counts.
   *
   * Storage is O(c·d·K/64) longs for K distinct combos; each `cov` call is
-  * O(ℓ(P) · K/64 + |matches|).
+  * O(ℓ(P) · K/64 + |matches|). Calls share one scratch buffer, so an index
+  * must not be used from two threads at once.
   */
 final class InvertedIndex(val data: CompressedData) {
   private val dim   = data.dim
@@ -32,15 +33,30 @@ final class InvertedIndex(val data: CompressedData) {
     }
   }
 
-  /** Count of `cov` invocations — benches report this as work done. */
+  /** Count of `cov`/`covers` invocations — benches report this as work done. */
   var covCalls: Long = 0L
 
+  /** Scratch intersection buffer, reused by every call. */
+  private val acc = new Array[Long](words)
+
   /** Coverage of pattern `p` (Definition 2) via AND + weighted popcount. */
-  def cov(p: Pattern): Long = {
+  def cov(p: Pattern): Long = weightedCount(p, Long.MaxValue)
+
+  /** Is `p` covered at threshold `tau`, i.e. `cov(p) >= tau`? The weighted
+    * popcount stops as soon as the running sum reaches `tau`. Counts as one
+    * cov call.
+    */
+  def covers(p: Pattern, tau: Long): Boolean = weightedCount(p, tau) >= tau
+
+  /** Same as [[covers]]. */
+  def isCovered(p: Pattern, tau: Long): Boolean = covers(p, tau)
+
+  /** `cov(p)` when it is below `limit`; otherwise some partial sum `>= limit`. */
+  private def weightedCount(p: Pattern, limit: Long): Long = {
     covCalls += 1
-    // Gather the vectors for the deterministic elements.
+    // AND the vectors of the deterministic elements.
     var first: Array[Long] = null
-    var acc:   Array[Long] = null
+    var anded = false
     var i = 0
     while (i < dim) {
       val e = p.elems(i)
@@ -48,25 +64,27 @@ final class InvertedIndex(val data: CompressedData) {
         val vec = bits(i)(e)
         if (first == null) first = vec
         else {
-          if (acc == null) { acc = new Array[Long](words); System.arraycopy(first, 0, acc, 0, words) }
+          val src = if (anded) acc else first
           var w = 0
-          var nonzero = false
+          var nonzero = 0L
           while (w < words) {
-            acc(w) &= vec(w)
-            if (acc(w) != 0L) nonzero = true
+            val x = src(w) & vec(w)
+            acc(w) = x
+            nonzero |= x
             w += 1
           }
-          if (!nonzero) return 0L
+          if (nonzero == 0L) return 0L
+          anded = true
         }
       }
       i += 1
     }
     if (first == null) return data.total          // root pattern: everything matches
-    val v = if (acc == null) first else acc
+    val v = if (anded) acc else first
     // Weighted popcount: sum counts of set combo indices.
     var sum = 0L
     var w = 0
-    while (w < words) {
+    while (w < words && sum < limit) {
       var word = v(w)
       while (word != 0L) {
         val t = java.lang.Long.numberOfTrailingZeros(word)
@@ -77,7 +95,4 @@ final class InvertedIndex(val data: CompressedData) {
     }
     sum
   }
-
-  /** Convenience: is `p` covered at threshold `tau`? */
-  def isCovered(p: Pattern, tau: Long): Boolean = cov(p) >= tau
 }

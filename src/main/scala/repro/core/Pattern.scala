@@ -130,16 +130,28 @@ object Pattern {
   /** The root pattern `XX…X` (level 0). */
   def root(d: Int): Pattern = Pattern(Vector.fill(d)(X))
 
-  /** Parse the compact string form, e.g. `"X1X0"`. Only single-digit values
-    * are supported by the textual form (enough for every dataset here, whose
-    * max cardinality is 10 → values 0..9).
+  /** Parse the compact string form, e.g. `"X1X0"` or `"X(12)0"`: the inverse
+    * of `toString`, which writes values >= 10 in parentheses.
     */
-  def parse(s: String): Pattern =
-    Pattern(s.iterator.map {
-      case 'X' | 'x' => X
-      case c if c.isDigit => c - '0'
-      case c => throw new IllegalArgumentException(s"bad pattern char '$c' in $s")
-    }.toVector)
+  def parse(s: String): Pattern = {
+    val out = Vector.newBuilder[Int]
+    var i = 0
+    while (i < s.length) {
+      s(i) match {
+        case 'X' | 'x' => out += X; i += 1
+        case c if c.isDigit => out += c - '0'; i += 1
+        case '(' =>
+          val close = s.indexOf(')', i)
+          val num   = if (close < 0) "" else s.substring(i + 1, close)
+          if (num.isEmpty || !num.forall(_.isDigit) || num.length > 9)
+            throw new IllegalArgumentException(s"bad parenthesized value at $i in $s")
+          out += num.toInt
+          i = close + 1
+        case c => throw new IllegalArgumentException(s"bad pattern char '$c' in $s")
+      }
+    }
+    Pattern(out.result())
+  }
 
   /** Build from a fully-specified tuple (every element deterministic). */
   def fromTuple(t: IndexedSeq[Int]): Pattern = Pattern(t.toVector)

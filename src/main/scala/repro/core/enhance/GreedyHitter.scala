@@ -9,8 +9,14 @@ import repro.core.Pattern
   * stops when every pattern is hit. `hit-count` walks the value-combination
   * tree (Fig 10) depth-first, carrying the AND of the inverted indices along
   * the path as a bit-vector filter; children are visited in descending order
-  * of their remaining-hit upper bound and a branch is pruned as soon as that
-  * bound cannot beat the best complete combination found so far.
+  * of their remaining-hit upper bound (ties toward the lower value) and a
+  * branch is pruned as soon as that bound cannot beat the best complete
+  * combination found so far.
+  *
+  * One search serves every round of a run. It owns one child-filter buffer
+  * per (depth, value), allocated once, and a round touches only the words
+  * that are non-zero in that round's filter: every node's filter is a subset
+  * of the round filter, so the other words are zero throughout the round.
   */
 object GreedyHitter {
 
@@ -26,73 +32,99 @@ object GreedyHitter {
     if (patterns.isEmpty) return Result(Vector.empty, 0L)
     val idx    = new PatternHitIndex(patterns, cards)
     val filter = idx.fullFilter
+    val search = new HitCountSearch(idx, cards)
     val out    = Vector.newBuilder[Vector[Int]]
-    var explored = 0L
 
     while (idx.popcount(filter) > 0) {
-      val search = new HitCountSearch(idx, cards)
-      val best   = search.best(filter)
-      explored += search.nodes
-      require(best.count > 0, "no combination hits any remaining pattern")
-      val combo = best.combo
+      val count = search.best(filter)
+      require(count > 0, "no combination hits any remaining pattern")
+      val combo = search.bestCombo
       out += combo
       // Clear the patterns this combination hits.
       val hit = idx.hitsOf(combo, filter)
       var w = 0
       while (w < filter.length) { filter(w) &= ~hit(w); w += 1 }
     }
-    Result(out.result(), explored)
+    Result(out.result(), search.nodes)
   }
 
-  /** One invocation of Algorithm 4 over the whole tree. */
+  /** Algorithm 4 over the whole tree, reusable across rounds. */
   private final class HitCountSearch(idx: PatternHitIndex, cards: IndexedSeq[Int]) {
     private val d = cards.length
-    var nodes  = 0L
+    /** Tree nodes visited over all rounds. */
+    var nodes = 0L
+
+    /** bufs(i)(v): filter of the child taking value v at depth i. */
+    private val bufs   = Array.tabulate(d)(i => Array.fill(cards(i))(new Array[Long](idx.words)))
+    private val counts = Array.tabulate(d)(i => new Array[Int](cards(i)))
+    private val order  = Array.tabulate(d)(i => new Array[Int](cards(i)))
+    private val live   = new Array[Int](idx.words)
+    private var liveN  = 0
+
+    private val prefix    = new Array[Int](d)
+    private val best      = new Array[Int](d)
     private var bestCount = 0
-    private var bestCombo: Vector[Int] = _
-    private val prefix = new Array[Int](d)
 
-    final case class Best(count: Int, combo: Vector[Int])
+    /** The combination found by the last [[best]] call. */
+    def bestCombo: Vector[Int] = best.toVector
 
-    def best(filter: Array[Long]): Best = {
+    /** The most patterns of `filter` one combination hits; the combination
+      * is then [[bestCombo]] (the first maximum in visit order).
+      */
+    def best(filter: Array[Long]): Int = {
+      liveN = idx.liveWords(filter, live)
       bestCount = 0
-      bestCombo = null
       descend(filter, 0)
-      Best(bestCount, if (bestCombo == null) Vector.empty else bestCombo)
+      bestCount
     }
 
     private def descend(filter: Array[Long], i: Int): Unit = {
       nodes += 1
       if (i == d) {
         val cnt = idx.popcount(filter)
-        if (cnt > bestCount) { bestCount = cnt; bestCombo = prefix.toVector }
+        if (cnt > bestCount) bestCount = cnt
         return
       }
       // Compute each child's filter and upper bound, then visit descending.
-      val c = cards(i)
-      val childFilters = new Array[Array[Long]](c)
-      val childCounts  = new Array[Int](c)
+      val c  = cards(i)
+      val fs = bufs(i)
+      val cs = counts(i)
+      val ord = order(i)
       var v = 0
       while (v < c) {
-        val f = new Array[Long](idx.words)
-        childCounts(v) = idx.andInto(filter, i, v, f)
-        childFilters(v) = f
+        cs(v) = idx.andInto(filter, i, v, fs(v), live, liveN)
         v += 1
       }
-      val order = (0 until c).sortBy(v => -childCounts(v))
-      for (v <- order) {
-        // The popcount of the child's filter is an upper bound on what any
-        // completion can hit; prune when it cannot beat the incumbent.
-        // (At the last level the bound is exact, so > keeps the first
-        // maximum and ties break toward lexicographically earlier combos.)
-        if (childCounts(v) > bestCount) {
-          prefix(i) = v
-          if (i == d - 1) {
-            nodes += 1
-            bestCount = childCounts(v)
-            bestCombo = prefix.toVector
-          } else descend(childFilters(v), i + 1)
-        }
+      sortByCountDesc(ord, cs)
+      // The popcount of the child's filter is an upper bound on what any
+      // completion can hit; children come in descending bound, so the first
+      // one that cannot beat the incumbent ends the loop. (At the last level
+      // the bound is exact, so > keeps the first maximum and ties break
+      // toward lexicographically earlier combos.)
+      var k = 0
+      while (k < c && cs(ord(k)) > bestCount) {
+        val v = ord(k)
+        prefix(i) = v
+        if (i == d - 1) {
+          nodes += 1
+          bestCount = cs(v)
+          System.arraycopy(prefix, 0, best, 0, d)
+        } else descend(fs(v), i + 1)
+        k += 1
+      }
+    }
+
+    /** ord = 0 until ord.length, stably sorted by descending cs (insertion
+      * sort: fan-outs are small).
+      */
+    private def sortByCountDesc(ord: Array[Int], cs: Array[Int]): Unit = {
+      var k = 0
+      while (k < ord.length) {
+        val key = cs(k)
+        var j = k - 1
+        while (j >= 0 && cs(ord(j)) < key) { ord(j + 1) = ord(j); j -= 1 }
+        ord(j + 1) = k
+        k += 1
       }
     }
   }

@@ -40,15 +40,37 @@ final class PatternHitIndex(val patterns: IndexedSeq[Pattern], val cards: Indexe
     f
   }
 
-  /** dst = a AND index(i)(v); returns popcount(dst). */
-  def andInto(a: Array[Long], i: Int, v: Int, dst: Array[Long]): Int = {
-    val vec = index(i)(v)
-    var cnt = 0
+  /** Every word index `0 until words`: the default word list of [[andInto]]. */
+  private val allWords: Array[Int] = Array.range(0, words)
+
+  /** Write the indices of the non-zero words of `filter` to the front of
+    * `live`; returns how many there are.
+    */
+  def liveWords(filter: Array[Long], live: Array[Int]): Int = {
+    var n = 0
     var w = 0
     while (w < words) {
-      dst(w) = a(w) & vec(w)
-      cnt += java.lang.Long.bitCount(dst(w))
+      if (filter(w) != 0L) { live(n) = w; n += 1 }
       w += 1
+    }
+    n
+  }
+
+  /** dst = a AND index(i)(v) on the words `live(0 until n)` (by default every
+    * word); returns the popcount of those words of dst. Other words of dst are
+    * left untouched, so the result is exact when `a` is zero outside them.
+    */
+  def andInto(a: Array[Long], i: Int, v: Int, dst: Array[Long],
+              live: Array[Int] = allWords, n: Int = words): Int = {
+    val vec = index(i)(v)
+    var cnt = 0
+    var k = 0
+    while (k < n) {
+      val w = live(k)
+      val x = a(w) & vec(w)
+      dst(w) = x
+      cnt += java.lang.Long.bitCount(x)
+      k += 1
     }
     cnt
   }
@@ -57,12 +79,10 @@ final class PatternHitIndex(val patterns: IndexedSeq[Pattern], val cards: Indexe
     * `filter`: AND of the combination's value vectors with `filter`.
     */
   def hitsOf(combo: IndexedSeq[Int], filter: Array[Long]): Array[Long] = {
-    var acc = filter.clone()
-    val tmp = new Array[Long](words)
+    val acc = filter.clone()
     var i = 0
     while (i < dim) {
-      andInto(acc, i, combo(i), tmp)
-      System.arraycopy(tmp, 0, acc, 0, words)
+      andInto(acc, i, combo(i), acc)
       i += 1
     }
     acc

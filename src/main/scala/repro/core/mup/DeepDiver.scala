@@ -37,14 +37,14 @@ object DeepDiver extends MupAlgorithm {
         // Ancestors of MUPs are covered (a MUP's parents are covered and
         // coverage is monotone): expand without computing coverage.
         if (p.level < cap) stack.pushAll(p.childrenRule1(cards))
-      } else if (index.cov(p) >= tau) {
+      } else if (index.covers(p, tau)) {
         if (p.level < cap) stack.pushAll(p.childrenRule1(cards))
       } else {
         // Uncovered: climb through uncovered parents to a maximal one.
         var cur = p
         var climbing = true
         while (climbing) {
-          cur.parents.find(q => index.cov(q) < tau) match {
+          cur.parents.find(q => !index.covers(q, tau)) match {
             case Some(up) => cur = up
             case None     => climbing = false
           }

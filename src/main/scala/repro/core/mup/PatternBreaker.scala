@@ -41,7 +41,7 @@ object PatternBreaker extends MupAlgorithm {
         // covered set means an uncovered ancestor dominates p — prune.
         val parentsOk = level == 0 || p.parents.forall(coveredPrev.contains)
         if (parentsOk) {
-          if (index.cov(p) < tau) mups += p
+          if (!index.covers(p, tau)) mups += p
           else coveredHere += p
         }
       }

@@ -91,6 +91,35 @@ class CoverageOracleSpec extends AnyFunSuite {
     assert(index.covCalls == before + 2)
   }
 
+  // One registered test per randomized dataset: the early-exit threshold
+  // test must agree with the full count at every τ, including the root and
+  // patterns whose vectors do not intersect.
+  {
+    val rnd = new Random(7331L)
+    for (trial <- 0 until 12) {
+      val d     = 2 + rnd.nextInt(3)
+      val cards = Vector.fill(d)(2 + rnd.nextInt(3))
+      val n     = 1 + rnd.nextInt(40)
+      val rows  = Vector.fill(n)(Vector.tabulate(d)(i => rnd.nextInt(cards(i))))
+      test(s"covers(p, τ) == (cov(p) >= τ) trial $trial: cards=$cards n=$n") {
+        val data  = CompressedData.fromRows(rows, cards)
+        val index = new InvertedIndex(data)
+        val total = data.total
+        val pats  = Pattern.allPatterns(cards).toVector
+        val taus  = new Random(trial)
+        assert(pats.exists(p => p.level >= 2 && index.cov(p) == 0L), "no zero-intersection pattern")
+        for (p <- pats; tau <- Seq(0L, 1L, 1L + taus.nextInt(total.toInt + 1), total, total + 1)) {
+          val c      = index.cov(p)
+          val before = index.covCalls
+          assert(index.covers(p, tau) == (c >= tau), s"$p tau=$tau cov=$c")
+          assert(index.covCalls == before + 1)
+          assert(index.isCovered(p, tau) == (c >= tau))
+        }
+        assert(index.covers(Pattern.root(d), total) && !index.covers(Pattern.root(d), total + 1))
+      }
+    }
+  }
+
   test("empty dataset: every pattern has coverage 0") {
     val data  = CompressedData.fromRows(Seq.empty[Vector[Int]], Vector(2, 2))
     val index = new InvertedIndex(data)

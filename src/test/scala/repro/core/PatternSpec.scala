@@ -32,6 +32,23 @@ class PatternSpec extends AnyFunSuite {
 
   test("parse rejects garbage") {
     intercept[IllegalArgumentException](Pattern.parse("X1?0"))
+    for (s <- Seq("X(12", "X()0", "(1a)", "X)", "(99999999999)"))
+      intercept[IllegalArgumentException](Pattern.parse(s))
+  }
+
+  test("parse reads back the parenthesized form of values >= 10") {
+    assert(Pattern.parse("X(12)0").elems == Vector(X, 12, 0))
+    assert(Pattern.parse("(10)(14)").elems == Vector(10, 14))
+  }
+
+  test("parse/format round-trips random patterns with cardinalities up to 15") {
+    val rnd = new scala.util.Random(1515L)
+    for (_ <- 0 until 500) {
+      val d     = 1 + rnd.nextInt(8)
+      val cards = Vector.fill(d)(1 + rnd.nextInt(15))
+      val p     = Pattern(Vector.tabulate(d)(i => rnd.nextInt(cards(i) + 1) - 1))
+      assert(Pattern.parse(p.toString) == p, s"$p")
+    }
   }
 
   test("root has level 0 and full X") {

@@ -119,6 +119,49 @@ class GreedyHitterSpec extends AnyFunSuite {
     }
   }
 
+  // Multi-word instances: 200–1,500 distinct patterns span 4–24 filter words.
+  // Patterns are ordered by level, so the general ones (hit early) share the
+  // low words and whole words die while others are still live. At this size
+  // many rounds have several maximal combinations, and GREEDY (first maximum
+  // in tree-visit order) and the naïve scan (first in lexicographic order)
+  // break those ties differently, so their round counts can differ. Every
+  // pick is checked to be maximal instead, and the round count and tree
+  // nodes are pinned (GREEDY's own tie-break is deterministic).
+  {
+    val rnd = new Random(64064L)
+    val pinned = Seq((200, 45, 9952L), (450, 77, 18111L), (800, 104, 24973L), (1500, 169, 48535L))
+    for (((size, rounds, nodes), trial) <- pinned.zipWithIndex) {
+      val cards = Vector(2, 4, 3, 2, 5, 2, 3).map(c => c + (if (rnd.nextInt(3) == 0) 1 else 0))
+      val pats = {
+        val seen = scala.collection.mutable.LinkedHashSet.empty[Pattern]
+        while (seen.size < size)
+          seen += Pattern(Vector.tabulate(cards.size)(i =>
+            if (rnd.nextInt(5) < 3) Pattern.X else rnd.nextInt(cards(i))))
+        seen.toVector.sortBy(_.level)
+      }
+      test(s"multi-word greedy max-pick trial $trial: cards=$cards patterns=$size") {
+        val fast = GreedyHitter.run(pats, cards)
+        assert(fast.combos.size == rounds && fast.nodesExplored == nodes)
+        var remaining = pats.indices.toVector
+        var wordDied  = false
+        def liveWords(ids: Seq[Int]) = ids.map(_ >>> 6).toSet
+        for (c <- fast.combos) {
+          val maxPossible = NaiveHitter.maxHitCount(remaining.map(pats), cards)
+          val (hit, rest) = remaining.partition(j => pats(j).matches(c))
+          assert(hit.size == maxPossible, s"pick $c hit ${hit.size} < $maxPossible")
+          if (rest.nonEmpty && liveWords(rest).size < liveWords(remaining).size) wordDied = true
+          remaining = rest
+        }
+        assert(remaining.isEmpty)
+        assert(wordDied, "no filter word emptied while others were live")
+        // a second run repeats the first exactly: no result depends on what
+        // the search buffers held before
+        val again = GreedyHitter.run(pats, cards)
+        assert(again.combos == fast.combos && again.nodesExplored == fast.nodesExplored)
+      }
+    }
+  }
+
   test("output is never larger than the pattern count (each pick hits >= 1)") {
     val rnd = new Random(31L)
     for (_ <- 0 until 10) {

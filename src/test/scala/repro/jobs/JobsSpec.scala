@@ -45,6 +45,15 @@ class JobsSpec extends SparkSpec {
     assert(!spark.sparkContext.isStopped)
   }
 
+  test("jobs derive tau from the rows read, not the requested n (compas has 6,889)") {
+    val mup = captureOut(MupIdentificationJob.main(
+      Array("dataset=compas", "n=100000", "tauRate=0.01")))
+    assert(mup.contains("n=6889 ") && mup.contains("tau=68 "), mup)
+    val enh = captureOut(CoverageEnhancementJob.main(
+      Array("dataset=compas", "n=100000", "tauRate=0.01", "lambda=2")))
+    assert(enh.contains("n=6889 ") && enh.contains("tau=68 "), enh)
+  }
+
   test("jobs reject unknown datasets") {
     intercept[RuntimeException] {
       MupIdentificationJob.main(Array("dataset=nope"))
