@@ -49,21 +49,13 @@ final class CompressedData(
 }
 
 object CompressedData {
-  /** Aggregate raw integer-coded rows into (combo, count) pairs.
-    *
-    * `cards` may be given explicitly; otherwise each attribute's cardinality
-    * is inferred as `max(value)+1` over the rows (and must be >= 1).
+  /** Aggregate raw integer-coded rows into (combo, count) pairs. Every code
+    * must lie in `[0, c_i)`.
     */
   def fromRows(rows: Iterable[IndexedSeq[Int]], cards: IndexedSeq[Int]): CompressedData = {
     val m = scala.collection.mutable.LinkedHashMap.empty[Vector[Int], Long]
     for (r <- rows) {
-      require(r.length == cards.length, s"row arity ${r.length} != ${cards.length}")
-      var i = 0
-      while (i < r.length) {
-        require(r(i) >= 0 && r(i) < cards(i),
-          s"value ${r(i)} out of range [0, ${cards(i)}) for attribute $i")
-        i += 1
-      }
+      checkCombo(r, cards)
       val k = r.toVector
       m.update(k, m.getOrElse(k, 0L) + 1L)
     }
@@ -71,17 +63,30 @@ object CompressedData {
   }
 
   /** Build directly from pre-aggregated (combo, count) pairs — the shape the
-    * Spark `groupBy` produces.
+    * Spark `groupBy` produces. Codes are range-checked like [[fromRows]].
     */
   def fromAggregated(pairs: Iterable[(IndexedSeq[Int], Long)], cards: IndexedSeq[Int]): CompressedData = {
     val combos = Array.newBuilder[Array[Int]]
     val counts = Array.newBuilder[Long]
     for ((combo, cnt) <- pairs) {
-      require(combo.length == cards.length, s"combo arity ${combo.length} != ${cards.length}")
+      checkCombo(combo, cards)
       require(cnt >= 0, s"negative count $cnt")
       combos += combo.toArray
       counts += cnt
     }
     new CompressedData(cards, combos.result(), counts.result())
+  }
+
+  /** Reject a combo whose arity differs from `cards` or whose codes fall
+    * outside `[0, c_i)`.
+    */
+  private def checkCombo(combo: IndexedSeq[Int], cards: IndexedSeq[Int]): Unit = {
+    require(combo.length == cards.length, s"combo arity ${combo.length} != ${cards.length}")
+    var i = 0
+    while (i < combo.length) {
+      require(combo(i) >= 0 && combo(i) < cards(i),
+        s"value ${combo(i)} out of range [0, ${cards(i)}) for attribute $i")
+      i += 1
+    }
   }
 }

@@ -79,31 +79,6 @@ object CoverageData {
     base.select(cols: _*)
   }
 
-  // ---------------------------------------------------------- TPC-H bridge
-
-  /** Cardinalities for [[fromTpchLineitem]]: returnflag, linestatus,
-    * quantity bucket, discount bucket.
-    */
-  val lineitemCards: IndexedSeq[Int] = IndexedSeq(3, 2, 5, 3)
-
-  /** Attribute columns produced by [[fromTpchLineitem]]. */
-  val lineitemAttrs: Seq[String] = Seq("returnflag", "linestatus", "qty_bucket", "disc_bucket")
-
-  /** Render `SynthData.lineitem` categorical, as §II prescribes for
-    * continuous attributes: returnflag (N/R/A → 0/1/2), linestatus (O/F →
-    * 0/1), quantity bucketed into 5 ranges of 10, discount into 3 ranges.
-    * This exercises the same coverage pipeline on the provided TPC-H-lite
-    * generator.
-    */
-  def fromTpchLineitem(df: DataFrame): DataFrame =
-    df.select(
-      when(col("l_returnflag") === "N", 0)
-        .when(col("l_returnflag") === "R", 1).otherwise(2).as("returnflag"),
-      when(col("l_linestatus") === "O", 0).otherwise(1).as("linestatus"),
-      least(lit(4), floor(col("l_quantity") / 10.2)).cast(IntegerType).as("qty_bucket"),
-      least(lit(2), floor(col("l_discount") / 0.034)).cast(IntegerType).as("disc_bucket"),
-    )
-
   // ---------------------------------------------------------------- COMPAS
 
   /** COMPAS cardinalities: sex×2, age×4, race×4, marital×7 (paper §V-A). */

@@ -135,4 +135,14 @@ class CoverageOracleSpec extends AnyFunSuite {
     assert(index.cov(Pattern.parse("X0")) == 3L)
     assert(index.cov(Pattern.parse("11")) == 0L)
   }
+
+  test("fromAggregated rejects codes outside [0, c_i) before any index sees them") {
+    val e = intercept[IllegalArgumentException] {
+      CompressedData.fromAggregated(Seq((Vector(0, 1), 7L), (Vector(5, 0), 3L)), Vector(2, 2))
+    }
+    assert(e.getMessage.contains("value 5 out of range [0, 2) for attribute 0"), e.getMessage)
+    intercept[IllegalArgumentException] {
+      CompressedData.fromAggregated(Seq((Vector(0, -1), 1L)), Vector(2, 2))
+    }
+  }
 }

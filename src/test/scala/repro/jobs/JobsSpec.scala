@@ -58,5 +58,11 @@ class JobsSpec extends SparkSpec {
     intercept[RuntimeException] {
       MupIdentificationJob.main(Array("dataset=nope"))
     }
+    for (algo <- Seq("deepdivr", "naive")) {
+      val e = intercept[RuntimeException] {
+        MupIdentificationJob.main(Array("dataset=airbnb", "n=2000", "d=6", s"algo=$algo"))
+      }
+      assert(e.getMessage.contains(s"unknown algo $algo"), e.getMessage)
+    }
   }
 }
