@@ -18,7 +18,7 @@ class EnhanceDimensionsBench extends BenchHarness {
     val rows = for (d <- dims; lambda <- Seq(3, 4, 5) if lambda <= d) yield {
       val data = airbnbData(scaleN, d)
       val cards = data.cards
-      val tau = math.max(1L, (0.01 * data.total).toLong)
+      val tau = data.tau(0.01)
       val mups = DeepDiver.findMups(data, tau, maxLevel = lambda).mups
       val toHit = LevelExpansion.uncoveredAtLevel(mups, cards, lambda).toVector
       val (res, secs) = timed(GreedyHitter.run(toHit, cards))

@@ -20,7 +20,7 @@ class EnhanceThresholdBench extends BenchHarness {
     val cards = data.cards
     val rates = Seq(0.000001, 0.00001, 0.0001, 0.001, 0.01)
     val rows = for (rate <- rates; lambda <- Seq(3, 4, 5)) yield {
-      val tau = math.max(1L, (rate * data.total).toLong)
+      val tau = data.tau(rate)
       val mups = DeepDiver.findMups(data, tau, maxLevel = lambda).mups
       val toHit = LevelExpansion.uncoveredAtLevel(mups, cards, lambda).toVector
       val (res, secs) = timed(GreedyHitter.run(toHit, cards))
@@ -43,7 +43,7 @@ class EnhanceThresholdBench extends BenchHarness {
     val cell = (for {
       rate <- Seq(0.0001, 0.001, 0.01).iterator
       lambda <- Seq(3, 4).iterator
-      tau = math.max(1L, (rate * data.total).toLong)
+      tau = data.tau(rate)
       mups = DeepDiver.findMups(data, tau, maxLevel = lambda).mups
       toHit = LevelExpansion.uncoveredAtLevel(mups, cards, lambda).toVector
       if toHit.size >= 10 && toHit.size <= 3000

@@ -13,7 +13,7 @@ class MupDataSizeBench extends BenchHarness {
     val sizes = Seq(scaleN / 10, scaleN / 3, scaleN, scaleN * 3)
     val rows = for (n <- sizes; algo <- mupAlgos) yield {
       val data = airbnbData(n, d)
-      val tau  = math.max(1L, (0.01 * data.total).toLong)
+      val tau  = data.tau(0.01)
       val (res, secs) = timed(algo.findMups(data, tau))
       Seq(n.toString, data.distinctCombos.toString, algo.name, f2(secs),
           res.mups.size.toString)

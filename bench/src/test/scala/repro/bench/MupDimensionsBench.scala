@@ -18,7 +18,7 @@ class MupDimensionsBench extends BenchHarness {
     val dims = Seq(5, 7, 9, 11, 13)
     val rows = for (d <- dims; algo <- mupAlgos) yield {
       val data = airbnbData(scaleN, d)
-      val tau  = math.max(1L, (0.001 * data.total).toLong)
+      val tau  = data.tau(0.001)
       val (res, secs) = timed(algo.findMups(data, tau))
       Seq(d.toString, algo.name, f2(secs), res.mups.size.toString)
     }
@@ -32,7 +32,7 @@ class MupDimensionsBench extends BenchHarness {
     val dims = Seq(5, 10, 15, 20, 25, 30, 35)
     val rows = for (d <- dims; cap <- Seq(2, 3)) yield {
       val data = airbnbData(scaleN, d)
-      val tau  = math.max(1L, (0.001 * data.total).toLong)
+      val tau  = data.tau(0.001)
       val (res, secs) = timed(DeepDiver.findMups(data, tau, maxLevel = cap))
       Seq(d.toString, cap.toString, f2(secs), res.mups.size.toString)
     }

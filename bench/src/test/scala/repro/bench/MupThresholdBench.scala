@@ -16,7 +16,7 @@ class MupThresholdBench extends BenchHarness {
     val data = airbnbData(scaleN, d)
     val rates = Seq(0.00001, 0.0001, 0.001, 0.01)
     val rows = for (rate <- rates; algo <- mupAlgos) yield {
-      val tau = math.max(1L, (rate * data.total).toLong)
+      val tau = data.tau(rate)
       val (res, secs) = timed(algo.findMups(data, tau))
       Seq(f"$rate%.5f", tau.toString, algo.name, f2(secs), res.mups.size.toString,
           res.covCalls.toString)
@@ -31,7 +31,7 @@ class MupThresholdBench extends BenchHarness {
     val data = bluenileData(116300L)
     val rates = Seq(0.00001, 0.0001, 0.001, 0.01)
     val rows = for (rate <- rates; algo <- mupAlgos) yield {
-      val tau = math.max(1L, (rate * data.total).toLong)
+      val tau = data.tau(rate)
       val (res, secs) = timed(algo.findMups(data, tau))
       Seq(f"$rate%.5f", tau.toString, algo.name, f2(secs), res.mups.size.toString,
           res.covCalls.toString)

@@ -1,0 +1,80 @@
+package repro.jobs
+
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.core.enhance.{GreedyHitter, LevelExpansion}
+import repro.core.mup.{DeepDiver, MupAlgorithm, PatternBreaker, PatternCombiner}
+import repro.spark.{CoverageData, SparkCoverage}
+
+/** The spark-submit entrypoint: assess coverage (Problem 1) and, given λ,
+  * remedy it (Problem 2) — one scan, one MUP search, then the enhancement.
+  *
+  * {{{
+  * spark-submit --class repro.jobs.CoverageJob repro.jar \
+  *   [dataset=airbnb|bluenile|compas] [n=100000] [d=13] [tauRate=0.001] \
+  *   [algo=deepdiver|breaker|combiner] [maxLevel=0 (0 = unlimited)] [lambda=λ]
+  * }}}
+  *
+  * τ = max(1, ⌊tauRate · rows read⌋); only airbnb reads `d`, and compas
+  * ignores `n`. Prints the MUP count, the per-level histogram and up to 50
+  * MUPs. With `lambda`, `maxLevel` defaults to λ, the uncovered level-λ
+  * patterns `M_λ` are hit by GREEDY, and up to 50 of the value combinations
+  * to collect are printed.
+  *
+  * The §V-B COMPAS audit (τ = 10) is `dataset=compas tauRate=0.0015`.
+  */
+object CoverageJob {
+  def main(args: Array[String]): Unit = {
+    val opts    = args.map(_.split("=", 2)).collect { case Array(k, v) => k -> v }.toMap
+    val dataset = opts.getOrElse("dataset", "airbnb")
+    val n       = opts.getOrElse("n", "100000").toLong
+    val d       = opts.getOrElse("d", "13").toInt
+    val tauRate = opts.getOrElse("tauRate", "0.001").toDouble
+    val lambda  = opts.get("lambda").map(_.toInt)
+    val maxLvl  = opts.get("maxLevel").map(_.toInt).orElse(lambda).filter(_ > 0).getOrElse(Int.MaxValue)
+    for (l <- lambda)
+      require(maxLvl >= l, s"maxLevel $maxLvl is below lambda $l: the level-$l patterns to hit would be incomplete")
+    val algo: MupAlgorithm = opts.getOrElse("algo", "deepdiver") match {
+      case "deepdiver" => DeepDiver
+      case "breaker"   => PatternBreaker
+      case "combiner"  => PatternCombiner
+      case other       => sys.error(s"unknown algo $other")
+    }
+    val source: SparkSession => (DataFrame, Seq[String], IndexedSeq[Int]) = dataset match {
+      case "airbnb"   => s => (CoverageData.airbnb(s, n, d), CoverageData.attrNames(d), CoverageData.airbnbCards(d))
+      case "bluenile" => s => (CoverageData.bluenile(s, n), CoverageData.attrNames(7), CoverageData.bluenileCards)
+      case "compas"   => s => (CoverageData.compas(s), CoverageData.compasAttrs, CoverageData.compasCards)
+      case other      => sys.error(s"unknown dataset $other")
+    }
+
+    withSpark { spark =>
+      val (df, attrs, cards) = source(spark)
+      val data = SparkCoverage.collectCompressed(df, attrs, cards)
+      val tau  = data.tau(tauRate)
+      val t0   = System.nanoTime()
+      val res  = algo.findMups(data, tau, maxLvl)
+      val secs = (System.nanoTime() - t0) / 1e9
+      println(f"dataset=$dataset n=${data.total} d=${data.dim} tau=$tau algo=${algo.name} " +
+        f"mups=${res.mups.size} time=$secs%.2fs covCalls=${res.covCalls}")
+      println(s"level histogram: ${res.levelHistogram.toSeq.sortBy(_._1).mkString(", ")}")
+      res.mups.toSeq.sortBy(p => (p.level, p.toString)).take(50).foreach(p => println(s"  MUP $p"))
+
+      for (l <- lambda) {
+        val toHit = LevelExpansion.uncoveredAtLevel(res.mups, cards, l).toVector
+        val t1    = System.nanoTime()
+        val hit   = GreedyHitter.run(toHit, cards)
+        println(f"lambda=$l input=${toHit.size} output=${hit.combos.size} time=${(System.nanoTime() - t1) / 1e9}%.2fs")
+        hit.combos.take(50).foreach(c => println(s"  collect ${c.mkString("[", ",", "]")}"))
+      }
+    }
+  }
+
+  /** Reuse an already-running SparkSession (so the job is callable in-process,
+    * e.g. from tests) and only stop a session this job itself created.
+    */
+  private def withSpark(body: SparkSession => Unit): Unit = {
+    val preExisting = SparkSession.getActiveSession.orElse(SparkSession.getDefaultSession)
+    val spark = preExisting.getOrElse(SparkSession.builder.appName("coverage").getOrCreate())
+    try body(spark)
+    finally if (preExisting.isEmpty) spark.stop()
+  }
+}

@@ -25,6 +25,9 @@ final class CompressedData(
   /** Number of distinct value combinations present. */
   def distinctCombos: Int = combos.length
 
+  /** The coverage threshold for a rate of the rows: max(1, ⌊rate · total⌋). */
+  def tau(rate: Double): Long = math.max(1L, (rate * total).toLong)
+
   /** Reference coverage computation by direct scan over the distinct combos
     * (Definition 2). O(distinctCombos × d); the inverted-index oracle in
     * [[InvertedIndex]] is the fast path — this is the correctness baseline.

@@ -48,9 +48,6 @@ final class InvertedIndex(val data: CompressedData) {
     */
   def covers(p: Pattern, tau: Long): Boolean = weightedCount(p, tau) >= tau
 
-  /** Same as [[covers]]. */
-  def isCovered(p: Pattern, tau: Long): Boolean = covers(p, tau)
-
   /** `cov(p)` when it is below `limit`; otherwise some partial sum `>= limit`. */
   private def weightedCount(p: Pattern, limit: Long): Long = {
     covCalls += 1

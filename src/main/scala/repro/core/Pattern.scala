@@ -52,13 +52,7 @@ final case class Pattern(elems: Vector[Int]) {
     */
   def generalizes(other: Pattern): Boolean = {
     require(other.dim == dim, s"dimension mismatch: $dim vs ${other.dim}")
-    var i = 0
-    while (i < elems.length) {
-      val e = elems(i)
-      if (e != X && e != other.elems(i)) return false
-      i += 1
-    }
-    true
+    matches(other.elems)
   }
 
   /** All parents (Definition 4): one deterministic element replaced by X. */
@@ -101,12 +95,13 @@ final case class Pattern(elems: Vector[Int]) {
 
   /** Number of value combinations matching this pattern (Definition 7):
     * product of the cardinalities of the non-deterministic attributes.
+    * Throws `ArithmeticException` when it exceeds `Long.MaxValue`.
     */
   def valueCount(cards: IndexedSeq[Int]): Long = {
     var p = 1L
     var i = 0
     while (i < dim) {
-      if (elems(i) == X) p *= cards(i)
+      if (elems(i) == X) p = Math.multiplyExact(p, cards(i).toLong)
       i += 1
     }
     p

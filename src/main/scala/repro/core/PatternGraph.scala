@@ -2,22 +2,28 @@ package repro.core
 
 /** Combinatorics of the pattern graph (paper §III-B, Definition 8) plus
   * small-graph enumeration helpers used by tests and the naïve baseline.
+  *
+  * The counts are exact: for cardinalities >= 1, each throws
+  * `ArithmeticException` when its answer exceeds `Long.MaxValue`.
   */
 object PatternGraph {
 
   /** Total number of nodes: `Π (c_i + 1)`. */
   def nodeCount(cards: IndexedSeq[Int]): Long =
-    cards.foldLeft(1L)((a, c) => a * (c + 1))
+    cards.foldLeft(1L)((a, c) => Math.multiplyExact(a, c + 1L))
 
   /** Number of nodes at level ℓ: sum over ℓ-subsets S of attributes of
     * `Π_{i∈S} c_i` (reduces to `C(d,ℓ)·c^ℓ` when all cardinalities equal).
     */
   def nodeCountAtLevel(cards: IndexedSeq[Int], level: Int): Long = {
-    // dp(j) = sum of products over j-subsets of the cards seen so far
+    // dp(j) = sum of products over j-subsets of the cards seen so far. A j
+    // the remaining cards cannot lift to `level` is skipped, so every sum
+    // kept is at most the answer and only an answer past Long overflows.
+    val d  = cards.length
     val dp = Array.fill(level + 1)(0L)
     dp(0) = 1L
-    for (c <- cards; j <- math.min(level, cards.length) to 1 by -1)
-      dp(j) += dp(j - 1) * c
+    for (k <- 0 until d; j <- math.min(level, k + 1) to math.max(1, level - (d - 1 - k)) by -1)
+      dp(j) = Math.addExact(dp(j), Math.multiplyExact(dp(j - 1), cards(k).toLong))
     dp(level)
   }
 
@@ -33,8 +39,8 @@ object PatternGraph {
     var sum = 0L
     for (i <- 0 until d) {
       var prod = 1L
-      for (j <- 0 until d if j != i) prod *= (cards(j) + 1)
-      sum += cards(i) * prod
+      for (j <- 0 until d if j != i) prod = Math.multiplyExact(prod, cards(j) + 1L)
+      sum = Math.addExact(sum, Math.multiplyExact(prod, cards(i).toLong))
     }
     sum
   }

@@ -1,7 +1,6 @@
 package repro.core.enhance
 
 import repro.core.Pattern
-import scala.collection.mutable
 
 /** Appendix C: the set `M_λ` of patterns the hitting set must cover.
   *
@@ -36,9 +35,9 @@ object LevelExpansion {
     * it, so expanding those MUPs and de-duplicating is exact.
     */
   def uncoveredAtLevel(mups: Iterable[Pattern], cards: IndexedSeq[Int], lambda: Int): Set[Pattern] = {
-    val out = mutable.LinkedHashSet.empty[Pattern]
+    val out = Set.newBuilder[Pattern]
     for (p <- mups if p.level <= lambda; q <- descendantsAtLevel(p, cards, lambda))
       out += q
-    out.toSet
+    out.result()
   }
 }

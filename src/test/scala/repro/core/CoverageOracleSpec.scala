@@ -113,7 +113,6 @@ class CoverageOracleSpec extends AnyFunSuite {
           val before = index.covCalls
           assert(index.covers(p, tau) == (c >= tau), s"$p tau=$tau cov=$c")
           assert(index.covCalls == before + 1)
-          assert(index.isCovered(p, tau) == (c >= tau))
         }
         assert(index.covers(Pattern.root(d), total) && !index.covers(Pattern.root(d), total + 1))
       }
@@ -144,5 +143,15 @@ class CoverageOracleSpec extends AnyFunSuite {
     intercept[IllegalArgumentException] {
       CompressedData.fromAggregated(Seq((Vector(0, -1), 1L)), Vector(2, 2))
     }
+  }
+
+  test("tau(rate) = max(1, ⌊rate · total⌋): 0 gives 1, fractions floor, COMPAS at 0.0015 gives 10") {
+    def ofTotal(total: Long) = CompressedData.fromAggregated(Seq((Vector(0), total)), Vector(1))
+    assert(example1.tau(0.0) == 1L)
+    assert(example1.tau(0.1) == 1L)   // ⌊0.5⌋ = 0, raised to 1
+    assert(example1.tau(0.5) == 2L)   // ⌊2.5⌋
+    assert(example1.tau(1.0) == 5L)
+    assert(ofTotal(6889L).tau(0.0015) == 10L) // ⌊10.33⌋, the §V-B audit's τ
+    assert(ofTotal(6889L).tau(0.01) == 68L)
   }
 }

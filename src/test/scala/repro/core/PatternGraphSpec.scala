@@ -54,4 +54,30 @@ class PatternGraphSpec extends AnyFunSuite {
     assert(PatternGraph.nodeCountAtLevel(bn, 7) == 100800L)
     assert(PatternGraph.nodeCountAtLevel(Vector.fill(7)(2), 7) == 128L)
   }
+
+  // Counts past Long.MaxValue throw instead of wrapping; just below the
+  // limit they stay exact (checked against BigInt).
+  private def exactOrThrows(expected: BigInt)(count: => Long): Unit =
+    if (expected.isValidLong) assert(count == expected.toLong)
+    else intercept[ArithmeticException](count)
+
+  test("node count is exact at 3^39 (d = 39) and throws at 3^40 (d = 40)") {
+    assert(BigInt(3).pow(39).isValidLong && !BigInt(3).pow(40).isValidLong)
+    for (d <- Seq(39, 40)) exactOrThrows(BigInt(3).pow(d))(PatternGraph.nodeCount(Vector.fill(d)(2)))
+  }
+
+  test("node count per level is exact up to Long.MaxValue and throws past it") {
+    def binom(n: Int, k: Int) = (0 until k).foldLeft(BigInt(1))((a, i) => a * (n - i) / (i + 1))
+    // 2^62 at d = 62 is exact although middle-level sums would overflow
+    assert(PatternGraph.nodeCountAtLevel(Vector.fill(62)(2), 62) == 1L << 62)
+    intercept[ArithmeticException](PatternGraph.nodeCountAtLevel(Vector.fill(63)(2), 63))
+    for (d <- Seq(40, 62); l <- 0 to d)
+      exactOrThrows(binom(d, l) * BigInt(2).pow(l))(PatternGraph.nodeCountAtLevel(Vector.fill(d)(2), l))
+  }
+
+  test("edge count is exact at d = 36 and throws at d = 37 (binary, 2·d·3^(d-1))") {
+    def expected(d: Int) = BigInt(2 * d) * BigInt(3).pow(d - 1)
+    assert(expected(36).isValidLong && !expected(37).isValidLong)
+    for (d <- Seq(36, 37)) exactOrThrows(expected(d))(PatternGraph.edgeCount(Vector.fill(d)(2)))
+  }
 }

@@ -83,6 +83,13 @@ class PatternSpec extends AnyFunSuite {
     assert(Pattern.parse("1010").valueCount(Vector(2, 2, 2, 2)) == 1L)
   }
 
+  test("value count is exact up to Long.MaxValue and throws past it") {
+    assert(Pattern.root(62).valueCount(Vector.fill(62)(2)) == 1L << 62)
+    assert(Pattern(0 +: Vector.fill(62)(Pattern.X)).valueCount(Vector.fill(63)(2)) == 1L << 62)
+    intercept[ArithmeticException](Pattern.root(63).valueCount(Vector.fill(63)(2)))
+    intercept[ArithmeticException](Pattern.root(64).valueCount(Vector.fill(64)(2)))
+  }
+
   // ---------------------------------------------------------- dominance
 
   test("dominance: 10X1 is dominated by 1XXX (paper §II)") {

@@ -1,10 +1,11 @@
 package repro.jobs
 
 import repro.SparkSpec
+import repro.core.Pattern
 
-/** Smoke tests for the spark-submit entrypoints: run each main in-process
-  * against the shared session (JobEnv reuses it and must not stop it) and
-  * sanity-check the printed report.
+/** Smoke tests for the spark-submit entrypoint: run `CoverageJob.main`
+  * in-process against the shared session (the job reuses it and must not
+  * stop it) and sanity-check the printed report.
   */
 class JobsSpec extends SparkSpec {
 
@@ -14,55 +15,71 @@ class JobsSpec extends SparkSpec {
     buf.toString("UTF-8")
   }
 
+  private def printedMups(out: String): Seq[Pattern] =
+    out.linesIterator.map(_.trim).collect { case s if s.startsWith("MUP ") => Pattern.parse(s.drop(4)) }.toSeq
+
+  // Named for the former COMPAS audit entrypoint; the audit is now
+  // `CoverageJob dataset=compas tauRate=0.0015` (tau = 10, XX23 uncovered).
   test("CompasAuditJob prints the audit and leaves the shared session running") {
     spark.sparkContext // force init
-    val out = captureOut(CompasAuditJob.main(Array.empty))
-    assert(out.contains("rows=6889"))
-    assert(out.contains("widowed Hispanics: 2 (recidivists: 2)"))
-    assert(out.contains("MUP "))
+    val out = captureOut(CoverageJob.main(Array("dataset=compas", "tauRate=0.0015")))
+    assert(out.contains("n=6889 ") && out.contains("tau=10 "), out)
+    assert(out.contains("  MUP XX23\n"), out)
     assert(!spark.sparkContext.isStopped, "job must not stop a pre-existing session")
   }
 
-  test("MupIdentificationJob runs each algorithm on a small airbnb sample") {
+  test("CoverageJob runs each algorithm on a small airbnb sample") {
     for (algo <- Seq("deepdiver", "breaker", "combiner")) {
-      val out = captureOut(MupIdentificationJob.main(
+      val out = captureOut(CoverageJob.main(
         Array("dataset=airbnb", "n=2000", "d=6", "tauRate=0.005", s"algo=$algo")))
       assert(out.contains("mups="), s"algo=$algo output: $out")
+      assert(!out.contains("lambda="), out)
       assert(!spark.sparkContext.isStopped)
     }
   }
 
-  test("MupIdentificationJob honors maxLevel") {
-    val out = captureOut(MupIdentificationJob.main(
+  test("CoverageJob honors maxLevel") {
+    val out = captureOut(CoverageJob.main(
       Array("dataset=airbnb", "n=2000", "d=10", "tauRate=0.005", "maxLevel=2")))
     assert(out.contains("mups="))
+    assert(printedMups(out).nonEmpty && printedMups(out).forall(_.level <= 2), out)
   }
 
-  test("CoverageEnhancementJob prints combinations to collect") {
-    val out = captureOut(CoverageEnhancementJob.main(
+  test("CoverageJob with lambda prints combinations to collect") {
+    val out = captureOut(CoverageJob.main(
       Array("dataset=airbnb", "n=2000", "d=8", "tauRate=0.01", "lambda=3")))
     assert(out.contains("input=") && out.contains("output="))
+    assert(out.contains("  collect ["), out)
+    assert(printedMups(out).forall(_.level <= 3), "maxLevel defaults to lambda")
     assert(!spark.sparkContext.isStopped)
   }
 
   test("jobs derive tau from the rows read, not the requested n (compas has 6,889)") {
-    val mup = captureOut(MupIdentificationJob.main(
+    val mup = captureOut(CoverageJob.main(
       Array("dataset=compas", "n=100000", "tauRate=0.01")))
     assert(mup.contains("n=6889 ") && mup.contains("tau=68 "), mup)
-    val enh = captureOut(CoverageEnhancementJob.main(
+    val enh = captureOut(CoverageJob.main(
       Array("dataset=compas", "n=100000", "tauRate=0.01", "lambda=2")))
-    assert(enh.contains("n=6889 ") && enh.contains("tau=68 "), enh)
+    assert(enh.contains("n=6889 ") && enh.contains("tau=68 ") && enh.contains("lambda=2 input="), enh)
   }
 
   test("jobs reject unknown datasets") {
-    intercept[RuntimeException] {
-      MupIdentificationJob.main(Array("dataset=nope"))
+    val e = intercept[RuntimeException] {
+      CoverageJob.main(Array("dataset=nope"))
     }
+    assert(e.getMessage.contains("unknown dataset nope"), e.getMessage)
     for (algo <- Seq("deepdivr", "naive")) {
       val e = intercept[RuntimeException] {
-        MupIdentificationJob.main(Array("dataset=airbnb", "n=2000", "d=6", s"algo=$algo"))
+        CoverageJob.main(Array("dataset=airbnb", "n=2000", "d=6", s"algo=$algo"))
       }
       assert(e.getMessage.contains(s"unknown algo $algo"), e.getMessage)
     }
+  }
+
+  test("CoverageJob rejects a maxLevel below lambda") {
+    val e = intercept[IllegalArgumentException] {
+      CoverageJob.main(Array("dataset=airbnb", "n=2000", "d=6", "maxLevel=2", "lambda=3"))
+    }
+    assert(e.getMessage.contains("maxLevel 2 is below lambda 3"), e.getMessage)
   }
 }
