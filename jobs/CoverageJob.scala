@@ -10,15 +10,16 @@ import repro.spark.{CoverageData, SparkCoverage}
   *
   * {{{
   * spark-submit --class repro.jobs.CoverageJob repro.jar \
-  *   [dataset=airbnb|bluenile|compas] [n=100000] [d=13] [tauRate=0.001] \
+  *   [dataset=airbnb|bluenile|compas] [n=rows] [d=13] [tauRate=0.001] \
   *   [algo=deepdiver|breaker|combiner] [maxLevel=0 (0 = unlimited)] [lambda=λ]
   * }}}
   *
   * τ = max(1, ⌊tauRate · rows read⌋); only airbnb reads `d`, and compas
-  * ignores `n`. Prints the MUP count, the per-level histogram and up to 50
-  * MUPs. With `lambda`, `maxLevel` defaults to λ, the uncovered level-λ
-  * patterns `M_λ` are hit by GREEDY, and up to 50 of the value combinations
-  * to collect are printed.
+  * ignores `n`. Without `n`, each generator's default size is used (airbnb
+  * 100,000, bluenile 116,300). Prints the MUP count, the per-level histogram
+  * and up to 50 MUPs. With `lambda`, `maxLevel` defaults to λ, the uncovered
+  * level-λ patterns `M_λ` are hit by GREEDY, and up to 50 of the value
+  * combinations to collect are printed.
   *
   * The §V-B COMPAS audit (τ = 10) is `dataset=compas tauRate=0.0015`.
   */
@@ -26,7 +27,7 @@ object CoverageJob {
   def main(args: Array[String]): Unit = {
     val opts    = args.map(_.split("=", 2)).collect { case Array(k, v) => k -> v }.toMap
     val dataset = opts.getOrElse("dataset", "airbnb")
-    val n       = opts.getOrElse("n", "100000").toLong
+    val n       = opts.get("n").map(_.toLong)
     val d       = opts.getOrElse("d", "13").toInt
     val tauRate = opts.getOrElse("tauRate", "0.001").toDouble
     val lambda  = opts.get("lambda").map(_.toInt)
@@ -40,8 +41,8 @@ object CoverageJob {
       case other       => sys.error(s"unknown algo $other")
     }
     val source: SparkSession => (DataFrame, Seq[String], IndexedSeq[Int]) = dataset match {
-      case "airbnb"   => s => (CoverageData.airbnb(s, n, d), CoverageData.attrNames(d), CoverageData.airbnbCards(d))
-      case "bluenile" => s => (CoverageData.bluenile(s, n), CoverageData.attrNames(7), CoverageData.bluenileCards)
+      case "airbnb"   => s => (CoverageData.airbnb(s, n.getOrElse(100000L), d), CoverageData.attrNames(d), CoverageData.airbnbCards(d))
+      case "bluenile" => s => (n.fold(CoverageData.bluenile(s))(CoverageData.bluenile(s, _)), CoverageData.attrNames(7), CoverageData.bluenileCards)
       case "compas"   => s => (CoverageData.compas(s), CoverageData.compasAttrs, CoverageData.compasCards)
       case other      => sys.error(s"unknown dataset $other")
     }

@@ -2,7 +2,9 @@ package repro.core
 
 /** The aggregated form of a dataset used by every search algorithm
   * (paper Appendix A): the distinct value combinations `combos(k)` with the
-  * number of dataset tuples having that combination in `counts(k)`.
+  * number of dataset tuples having that combination in `counts(k)`. Every
+  * code must lie in `[0, c_i)` and every count be `>= 0`; the constructor
+  * checks both, so no index ever sees a bad code.
   *
   * This is the only structure the searches touch — the (possibly huge) raw
   * data is reduced to it by one scan/aggregate pass, which in the Spark layer
@@ -15,6 +17,17 @@ final class CompressedData(
 ) {
   require(combos.length == counts.length,
     s"combos (${combos.length}) and counts (${counts.length}) must align")
+  for (k <- combos.indices) {
+    val combo = combos(k)
+    require(combo.length == cards.length, s"combo arity ${combo.length} != ${cards.length}")
+    var i = 0
+    while (i < combo.length) {
+      require(combo(i) >= 0 && combo(i) < cards(i),
+        s"value ${combo(i)} out of range [0, ${cards(i)}) for attribute $i")
+      i += 1
+    }
+    require(counts(k) >= 0, s"negative count ${counts(k)}")
+  }
 
   /** Number of attributes. */
   val dim: Int = cards.length
@@ -52,13 +65,10 @@ final class CompressedData(
 }
 
 object CompressedData {
-  /** Aggregate raw integer-coded rows into (combo, count) pairs. Every code
-    * must lie in `[0, c_i)`.
-    */
+  /** Aggregate raw integer-coded rows into (combo, count) pairs. */
   def fromRows(rows: Iterable[IndexedSeq[Int]], cards: IndexedSeq[Int]): CompressedData = {
     val m = scala.collection.mutable.LinkedHashMap.empty[Vector[Int], Long]
     for (r <- rows) {
-      checkCombo(r, cards)
       val k = r.toVector
       m.update(k, m.getOrElse(k, 0L) + 1L)
     }
@@ -66,30 +76,15 @@ object CompressedData {
   }
 
   /** Build directly from pre-aggregated (combo, count) pairs — the shape the
-    * Spark `groupBy` produces. Codes are range-checked like [[fromRows]].
+    * Spark `groupBy` produces.
     */
   def fromAggregated(pairs: Iterable[(IndexedSeq[Int], Long)], cards: IndexedSeq[Int]): CompressedData = {
     val combos = Array.newBuilder[Array[Int]]
     val counts = Array.newBuilder[Long]
     for ((combo, cnt) <- pairs) {
-      checkCombo(combo, cards)
-      require(cnt >= 0, s"negative count $cnt")
       combos += combo.toArray
       counts += cnt
     }
     new CompressedData(cards, combos.result(), counts.result())
-  }
-
-  /** Reject a combo whose arity differs from `cards` or whose codes fall
-    * outside `[0, c_i)`.
-    */
-  private def checkCombo(combo: IndexedSeq[Int], cards: IndexedSeq[Int]): Unit = {
-    require(combo.length == cards.length, s"combo arity ${combo.length} != ${cards.length}")
-    var i = 0
-    while (i < combo.length) {
-      require(combo(i) >= 0 && combo(i) < cards(i),
-        s"value ${combo(i)} out of range [0, ${cards(i)}) for attribute $i")
-      i += 1
-    }
   }
 }

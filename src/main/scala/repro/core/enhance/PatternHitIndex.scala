@@ -1,44 +1,26 @@
 package repro.core.enhance
 
-import repro.core.Pattern
+import repro.core.{Pattern, PatternBits}
 
 /** The per-(attribute, value) inverted indices over the patterns to hit
   * (paper §IV-B, Fig 9): bit `j` of `index(i)(v)` is 1 iff pattern `j` has
   * `X` or value `v` at position `i` — i.e. a value combination with `v` on
-  * `A_i` can still hit pattern `j`.
+  * `A_i` can still hit pattern `j`. These are the `hit` vectors of a
+  * [[PatternBits]] over the patterns.
   */
 final class PatternHitIndex(val patterns: IndexedSeq[Pattern], val cards: IndexedSeq[Int]) {
   val m: Int = patterns.length
-  val words: Int = (m + 63) >>> 6
-  private val dim = cards.length
 
-  /** index(i)(v): Long-word bit vector of length [[words]]. */
-  val index: Array[Array[Array[Long]]] =
-    Array.tabulate(dim)(i => Array.ofDim[Long](cards(i), words))
+  private val bits = new PatternBits(cards)
+  patterns.foreach(p => bits.add(p.elems))
 
-  {
-    for (j <- patterns.indices) {
-      val p = patterns(j)
-      require(p.dim == dim, s"pattern dim ${p.dim} != $dim")
-      val word = j >>> 6
-      val bit  = 1L << (j & 63)
-      for (i <- 0 until dim) {
-        val e = p.elems(i)
-        if (e == Pattern.X) {
-          var v = 0
-          while (v < cards(i)) { index(i)(v)(word) |= bit; v += 1 }
-        } else index(i)(e)(word) |= bit
-      }
-    }
-  }
+  val words: Int = bits.words
+
+  /** index(i)(v): Long-word bit vector with at least [[words]] words. */
+  val index: Array[Array[Array[Long]]] = bits.hit
 
   /** A filter with every pattern still unhit. */
-  def fullFilter: Array[Long] = {
-    val f = Array.fill(words)(-1L)
-    val extra = (words << 6) - m
-    if (words > 0 && extra > 0) f(words - 1) &= -1L >>> extra
-    f
-  }
+  def fullFilter: Array[Long] = bits.allInto(new Array[Long](words))
 
   /** Every word index `0 until words`: the default word list of [[andInto]]. */
   private val allWords: Array[Int] = Array.range(0, words)
@@ -76,16 +58,13 @@ final class PatternHitIndex(val patterns: IndexedSeq[Pattern], val cards: Indexe
   }
 
   /** The set bits (pattern ids) a fully specified combination hits within
-    * `filter`: AND of the combination's value vectors with `filter`.
+    * `filter`: `filter` AND the patterns that generalize the combination.
     */
   def hitsOf(combo: IndexedSeq[Int], filter: Array[Long]): Array[Long] = {
-    val acc = filter.clone()
-    var i = 0
-    while (i < dim) {
-      andInto(acc, i, combo(i), acc)
-      i += 1
-    }
-    acc
+    val out  = new Array[Long](words)
+    val hits = bits.above(Pattern(combo.toVector))
+    if (hits != null) PatternBits.and(filter, hits, out, words)
+    out
   }
 
   def popcount(v: Array[Long]): Int = {

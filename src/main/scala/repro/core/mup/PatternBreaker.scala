@@ -30,7 +30,7 @@ object PatternBreaker extends MupAlgorithm {
     var visited = 0L
 
     var frontier: Vector[Pattern] = Vector(Pattern.root(d)) // candidates at current level
-    var coveredPrev: Set[Pattern] = Set.empty               // covered nodes one level up
+    var coveredPrev: collection.Set[Pattern] = Set.empty    // covered nodes one level up
 
     var level = 0
     while (frontier.nonEmpty && level <= math.min(d, maxLevel)) {
@@ -49,7 +49,7 @@ object PatternBreaker extends MupAlgorithm {
       if (level < math.min(d, maxLevel)) {
         for (p <- coveredHere) next ++= p.childrenRule1(cards)
       }
-      coveredPrev = coveredHere.toSet
+      coveredPrev = coveredHere
       frontier = next.result()
       level += 1
     }

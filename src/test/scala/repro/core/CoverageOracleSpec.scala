@@ -145,6 +145,20 @@ class CoverageOracleSpec extends AnyFunSuite {
     }
   }
 
+  test("the constructor rejects a code of -1 or c_i, a wrong arity and a negative count") {
+    val cards = Vector(2, 3)
+    def build(combo: Array[Int], count: Long) = new CompressedData(cards, Array(Array(0, 0), combo), Array(1L, count))
+    for ((combo, count, msg) <- Seq(
+           (Array(0, -1), 1L, "value -1 out of range [0, 3) for attribute 1"),
+           (Array(2, 0), 1L, "value 2 out of range [0, 2) for attribute 0"),
+           (Array(0, 0, 0), 1L, "combo arity 3 != 2"),
+           (Array(1, 2), -4L, "negative count -4"))) {
+      val e = intercept[IllegalArgumentException](build(combo, count))
+      assert(e.getMessage.contains(msg), e.getMessage)
+    }
+    assert(build(Array(1, 2), 0L).total == 1L)
+  }
+
   test("tau(rate) = max(1, ⌊rate · total⌋): 0 gives 1, fractions floor, COMPAS at 0.0015 gives 10") {
     def ofTotal(total: Long) = CompressedData.fromAggregated(Seq((Vector(0), total)), Vector(1))
     assert(example1.tau(0.0) == 1L)

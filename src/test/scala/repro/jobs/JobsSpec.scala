@@ -63,6 +63,12 @@ class JobsSpec extends SparkSpec {
     assert(enh.contains("n=6889 ") && enh.contains("tau=68 ") && enh.contains("lambda=2 input="), enh)
   }
 
+  test("CoverageJob reads BlueNile's 116,300 rows when n is not given") {
+    spark.sparkContext // force init
+    val out = captureOut(CoverageJob.main(Array("dataset=bluenile", "maxLevel=1")))
+    assert(out.contains("dataset=bluenile n=116300 "), out)
+  }
+
   test("jobs reject unknown datasets") {
     val e = intercept[RuntimeException] {
       CoverageJob.main(Array("dataset=nope"))
