@@ -52,7 +52,7 @@ class EnhanceThresholdBench extends BenchHarness {
     val (tau, lambda, toHit) = cell.get
     val (fast, fastSecs)  = timed(GreedyHitter.run(toHit, cards))
     val (naive, naiveSecs) = timed(NaiveHitter.run(toHit, cards))
-    assert(fast.combos.size == naive.combos.size)
+    assert(fast.combos == naive.combos)
     printTable(
       s"Fig17 naive-vs-greedy single cell (n=${data.total}, d=$d, tau=$tau, lambda=$lambda)",
       Seq("method", "seconds", "input(toHit)", "output(combos)", "work"),

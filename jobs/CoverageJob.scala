@@ -22,10 +22,17 @@ import repro.spark.{CoverageData, SparkCoverage}
   * combinations to collect are printed.
   *
   * The §V-B COMPAS audit (τ = 10) is `dataset=compas tauRate=0.0015`.
+  * An argument that is not `key=value` with a known key, or a λ above the
+  * dataset's d, is rejected before a session starts.
   */
 object CoverageJob {
+  private val keys = Seq("dataset", "n", "d", "tauRate", "algo", "maxLevel", "lambda")
+
   def main(args: Array[String]): Unit = {
-    val opts    = args.map(_.split("=", 2)).collect { case Array(k, v) => k -> v }.toMap
+    val opts = args.map(a => a.split("=", 2) match {
+      case Array(k, v) if keys.contains(k) => k -> v
+      case _ => throw new IllegalArgumentException(s"unknown argument '$a': expected key=value, key one of ${keys.mkString(", ")}")
+    }).toMap
     val dataset = opts.getOrElse("dataset", "airbnb")
     val n       = opts.get("n").map(_.toLong)
     val d       = opts.getOrElse("d", "13").toInt
@@ -40,15 +47,17 @@ object CoverageJob {
       case "combiner"  => PatternCombiner
       case other       => sys.error(s"unknown algo $other")
     }
-    val source: SparkSession => (DataFrame, Seq[String], IndexedSeq[Int]) = dataset match {
-      case "airbnb"   => s => (CoverageData.airbnb(s, n.getOrElse(100000L), d), CoverageData.attrNames(d), CoverageData.airbnbCards(d))
-      case "bluenile" => s => (n.fold(CoverageData.bluenile(s))(CoverageData.bluenile(s, _)), CoverageData.attrNames(7), CoverageData.bluenileCards)
-      case "compas"   => s => (CoverageData.compas(s), CoverageData.compasAttrs, CoverageData.compasCards)
+    val (cards, source): (IndexedSeq[Int], SparkSession => (DataFrame, Seq[String])) = dataset match {
+      case "airbnb"   => (CoverageData.airbnbCards(d), s => (CoverageData.airbnb(s, n.getOrElse(100000L), d), CoverageData.attrNames(d)))
+      case "bluenile" => (CoverageData.bluenileCards, s => (n.fold(CoverageData.bluenile(s))(CoverageData.bluenile(s, _)), CoverageData.attrNames(7)))
+      case "compas"   => (CoverageData.compasCards, s => (CoverageData.compas(s), CoverageData.compasAttrs))
       case other      => sys.error(s"unknown dataset $other")
     }
+    for (l <- lambda)
+      require(l <= cards.size, s"lambda=$l exceeds the dataset's d=${cards.size}: there is no level-$l pattern to hit")
 
     withSpark { spark =>
-      val (df, attrs, cards) = source(spark)
+      val (df, attrs) = source(spark)
       val data = SparkCoverage.collectCompressed(df, attrs, cards)
       val tau  = data.tau(tauRate)
       val t0   = System.nanoTime()

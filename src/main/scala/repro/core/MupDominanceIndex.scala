@@ -5,14 +5,15 @@ import scala.collection.mutable.ArrayBuffer
 /** Incremental MUP-dominance index (paper Appendix B).
   *
   * A [[PatternBits]] over the MUPs discovered so far (bit `j` is MUP number
-  * `j` in insertion order). Supports the two checks DEEPDIVER issues per node
-  * (Definition 9):
+  * `j` in insertion order). Supports the two checks of Definition 9:
   *
-  *  - `dominatesSome(P)`: ∃ MUP m strictly dominated by P — the MUPs P
-  *    generalizes (`below`: AND of the vectors of P's deterministic values).
   *  - `dominatedBySome(P)`: ∃ MUP m strictly dominating P — the MUPs that
   *    generalize P (`above`: AND of the `X` vector where P has `X` and the
-  *    value-or-`X` vector elsewhere).
+  *    value-or-`X` vector elsewhere). DEEPDIVER issues it per node.
+  *  - `dominatesSome(P)`: ∃ MUP m strictly dominated by P — the MUPs P
+  *    generalizes (`below`: AND of the vectors of P's deterministic values).
+  *    In DEEPDIVER's DFS order it is never true, so only this index's spec
+  *    and the benchmark's dominance probe call it.
   *
   * Strictness (a pattern neither dominates nor is dominated by itself) is
   * enforced by excluding exact-equal MUPs from the raw generalizes-check.

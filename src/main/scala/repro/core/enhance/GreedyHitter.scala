@@ -11,7 +11,9 @@ import repro.core.Pattern
   * the path as a bit-vector filter; children are visited in descending order
   * of their remaining-hit upper bound (ties toward the lower value) and a
   * branch is pruned as soon as that bound cannot beat the best complete
-  * combination found so far.
+  * combination found so far. The pick is the first maximum in this visit
+  * order (the tie-break): pruning never cuts a strictly better leaf, so
+  * [[NaiveHitter]]'s unpruned walk in the same order picks the same one.
   *
   * One search serves every round of a run. It owns one child-filter buffer
   * per (depth, value), allocated once, and a round touches only the words

@@ -3,46 +3,44 @@ package repro.core.enhance
 import repro.core.Pattern
 
 /** Direct implementation of the greedy hitting-set approximation (the
-  * "naïve" comparator of paper §V-C4): every round scans all `Π c_i` value
+  * "naïve" comparator of paper §V-C4): every round walks all `Π c_i` value
   * combinations, counts for each how many still-unhit patterns it matches,
   * and picks the max. Exponential per round — only for small settings.
+  *
+  * Ties break as in [[GreedyHitter]]: the first maximum in tree-visit order,
+  * a node's children ordered by remaining-hit bound (the unhit patterns the
+  * prefix can still hit), descending, then by value. Nothing is pruned.
   */
 object NaiveHitter {
 
   final case class Result(combos: Vector[Vector[Int]], combosScanned: Long)
 
   def run(patterns: IndexedSeq[Pattern], cards: IndexedSeq[Int]): Result = {
-    if (patterns.isEmpty) return Result(Vector.empty, 0L)
-    val unhit = scala.collection.mutable.BitSet(patterns.indices: _*)
-    val out   = Vector.newBuilder[Vector[Int]]
+    val d      = cards.length
+    val elems  = patterns.map(_.elems.toArray).toArray
+    val prefix = new Array[Int](d)
+    var unhit  = patterns.indices.toArray
+    val out    = Vector.newBuilder[Vector[Int]]
     var scanned = 0L
 
     while (unhit.nonEmpty) {
       var bestCombo: Vector[Int] = null
-      var bestHits = -1
-      for (combo <- Pattern.allCombos(cards)) {
-        scanned += 1
-        var hits = 0
-        for (j <- unhit) if (patterns(j).matches(combo)) hits += 1
-        if (hits > bestHits) { bestHits = hits; bestCombo = combo }
-      }
+      var bestHits = 0
+      // `live`: the unhit patterns that `prefix(0 until i)` can still hit.
+      def visit(i: Int, live: Array[Int]): Unit =
+        if (i == d) {
+          scanned += 1
+          if (live.length > bestHits) { bestHits = live.length; bestCombo = prefix.toVector }
+        } else {
+          val kids = Array.tabulate(cards(i))(v =>
+            live.filter(j => elems(j)(i) == Pattern.X || elems(j)(i) == v))
+          for (v <- (0 until cards(i)).sortBy(v => -kids(v).length)) { prefix(i) = v; visit(i + 1, kids(v)) }
+        }
+      visit(0, unhit)
       require(bestHits > 0, "no combination hits any remaining pattern")
       out += bestCombo
-      for (j <- unhit.toSeq) if (patterns(j).matches(bestCombo)) unhit -= j
+      unhit = unhit.filterNot(j => patterns(j).matches(bestCombo))
     }
     Result(out.result(), scanned)
-  }
-
-  /** The max hit-count a single combination can achieve against `patterns` —
-    * used by tests to cross-check GREEDY's per-round choice.
-    */
-  def maxHitCount(patterns: IndexedSeq[Pattern], cards: IndexedSeq[Int]): Int = {
-    var best = 0
-    for (combo <- Pattern.allCombos(cards)) {
-      var hits = 0
-      for (p <- patterns) if (p.matches(combo)) hits += 1
-      if (hits > best) best = hits
-    }
-    best
   }
 }

@@ -19,6 +19,10 @@ class GreedyHitterSpec extends AnyFunSuite {
   private val ex2Pats: Vector[Pattern] =
     Vector("XX01X", "1XX0X", "XXX11", "02XXX", "XX11X", "11XXX").map(Pattern.parse)
 
+  /** The most patterns a single combination hits (brute force). */
+  private def maxHitCount(patterns: Seq[Pattern], cards: IndexedSeq[Int]): Int =
+    Pattern.allCombos(cards).map(c => patterns.count(_.matches(c))).max
+
   // --------------------------------------------------------- hit index
 
   test("Fig 9: inverted-index rows for A1 and A2 values") {
@@ -47,7 +51,7 @@ class GreedyHitterSpec extends AnyFunSuite {
   }
 
   test("no combination hits more than 3 of P1..P6 (first greedy pick = 3)") {
-    assert(NaiveHitter.maxHitCount(ex2Pats, ex2Cards) == 3)
+    assert(maxHitCount(ex2Pats, ex2Cards) == 3)
   }
 
   test("Example 2: GREEDY collects exactly 3 value combinations hitting all of P1..P6") {
@@ -87,8 +91,9 @@ class GreedyHitterSpec extends AnyFunSuite {
   }
 
   // One registered test per randomized pattern set: GREEDY must make a
-  // provably-maximal pick every round and agree with the naïve greedy on
-  // round count. Mixed cardinalities up to 5 to exercise wide tree fanout.
+  // provably-maximal pick every round and agree with the naïve greedy pick
+  // for pick (both take the first maximum in the same tree-visit order).
+  // Mixed cardinalities up to 5 to exercise wide tree fanout.
   {
     val rnd = new Random(11235L)
     for (trial <- 0 until 25) {
@@ -99,8 +104,7 @@ class GreedyHitterSpec extends AnyFunSuite {
       test(s"greedy-vs-naive trial $trial: cards=$cards patterns=${pats.size}") {
         val fast = GreedyHitter.run(pats, cards)
         val slow = NaiveHitter.run(pats, cards)
-        // both are greedy max-pick: same number of rounds
-        assert(fast.combos.size == slow.combos.size, s"pats=$pats")
+        assert(fast.combos == slow.combos, s"pats=$pats")
         // every pattern hit by both
         for (p <- pats) {
           assert(fast.combos.exists(p.matches), s"fast missed $p")
@@ -109,7 +113,7 @@ class GreedyHitterSpec extends AnyFunSuite {
         // each greedy pick hits the max possible among remaining patterns
         var remaining = pats
         for (c <- fast.combos) {
-          val maxPossible = NaiveHitter.maxHitCount(remaining, cards)
+          val maxPossible = maxHitCount(remaining, cards)
           val hit = remaining.count(_.matches(c))
           assert(hit == maxPossible, s"pick $c hit $hit < $maxPossible")
           remaining = remaining.filterNot(_.matches(c))
@@ -122,11 +126,10 @@ class GreedyHitterSpec extends AnyFunSuite {
   // Multi-word instances: 200–1,500 distinct patterns span 4–24 filter words.
   // Patterns are ordered by level, so the general ones (hit early) share the
   // low words and whole words die while others are still live. At this size
-  // many rounds have several maximal combinations, and GREEDY (first maximum
-  // in tree-visit order) and the naïve scan (first in lexicographic order)
-  // break those ties differently, so their round counts can differ. Every
-  // pick is checked to be maximal instead, and the round count and tree
-  // nodes are pinned (GREEDY's own tie-break is deterministic).
+  // many rounds have several maximal combinations, so the pick-for-pick
+  // agreement with the naïve greedy checks the tie-break too. Every pick is
+  // also checked to be maximal, and the round count and tree nodes are
+  // pinned.
   {
     val rnd = new Random(64064L)
     val pinned = Seq((200, 45, 9952L), (450, 77, 18111L), (800, 104, 24973L), (1500, 169, 48535L))
@@ -142,11 +145,12 @@ class GreedyHitterSpec extends AnyFunSuite {
       test(s"multi-word greedy max-pick trial $trial: cards=$cards patterns=$size") {
         val fast = GreedyHitter.run(pats, cards)
         assert(fast.combos.size == rounds && fast.nodesExplored == nodes)
+        assert(fast.combos == NaiveHitter.run(pats, cards).combos)
         var remaining = pats.indices.toVector
         var wordDied  = false
         def liveWords(ids: Seq[Int]) = ids.map(_ >>> 6).toSet
         for (c <- fast.combos) {
-          val maxPossible = NaiveHitter.maxHitCount(remaining.map(pats), cards)
+          val maxPossible = maxHitCount(remaining.map(pats), cards)
           val (hit, rest) = remaining.partition(j => pats(j).matches(c))
           assert(hit.size == maxPossible, s"pick $c hit ${hit.size} < $maxPossible")
           if (rest.nonEmpty && liveWords(rest).size < liveWords(remaining).size) wordDied = true
@@ -206,7 +210,7 @@ class GreedyHitterSpec extends AnyFunSuite {
     val pats = Vector.fill(25)(all(rnd.nextInt(all.size))).distinct
     val fast = GreedyHitter.run(pats, cards)
     val slow = NaiveHitter.run(pats, cards)
-    assert(fast.combos.size == slow.combos.size)
+    assert(fast.combos == slow.combos)
     assert(fast.nodesExplored < slow.combosScanned,
       s"greedy=${fast.nodesExplored} naive=${slow.combosScanned}")
   }

@@ -82,6 +82,20 @@ class JobsSpec extends SparkSpec {
     }
   }
 
+  test("CoverageJob rejects a misspelt or malformed argument and a lambda above d") {
+    for (bad <- Seq("lamda=3", "lambda3")) {
+      val e = intercept[IllegalArgumentException] {
+        CoverageJob.main(Array("dataset=airbnb", "n=2000", "d=6", bad))
+      }
+      assert(e.getMessage.contains(s"unknown argument '$bad'"), e.getMessage)
+      assert(e.getMessage.contains("key one of dataset, n, d, tauRate, algo, maxLevel, lambda"), e.getMessage)
+    }
+    val e = intercept[IllegalArgumentException] {
+      CoverageJob.main(Array("dataset=airbnb", "n=2000", "d=6", "lambda=7"))
+    }
+    assert(e.getMessage.contains("lambda=7 exceeds the dataset's d=6"), e.getMessage)
+  }
+
   test("CoverageJob rejects a maxLevel below lambda") {
     val e = intercept[IllegalArgumentException] {
       CoverageJob.main(Array("dataset=airbnb", "n=2000", "d=6", "maxLevel=2", "lambda=3"))
