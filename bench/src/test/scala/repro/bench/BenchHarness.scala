@@ -22,10 +22,23 @@ trait BenchHarness extends SparkSpec {
     case _       => 100000L
   }
 
+  /** Calls timed per cell after one untimed warm-up call. */
+  private val timedCalls = 3
+
+  /** Run `body` once to warm up, then [[timedCalls]] more times; returns the
+    * result and the median seconds of the timed calls. Every call must return
+    * the same result.
+    */
   def timed[A](body: => A): (A, Double) = {
-    val t0 = System.nanoTime()
-    val a  = body
-    (a, (System.nanoTime() - t0) / 1e9)
+    val warm = body
+    val secs = Vector.fill(timedCalls) {
+      val t0 = System.nanoTime()
+      val a  = body
+      val s  = (System.nanoTime() - t0) / 1e9
+      assert(a == warm, "a repeated call returned a different result")
+      s
+    }
+    (warm, secs.sorted.apply(timedCalls / 2))
   }
 
   /** Render an aligned table to stdout, with a marker line the harness can

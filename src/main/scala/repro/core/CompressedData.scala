@@ -74,17 +74,4 @@ object CompressedData {
     }
     new CompressedData(cards, m.keysIterator.map(_.toArray).toArray, m.valuesIterator.toArray)
   }
-
-  /** Build directly from pre-aggregated (combo, count) pairs — the shape the
-    * Spark `groupBy` produces.
-    */
-  def fromAggregated(pairs: Iterable[(IndexedSeq[Int], Long)], cards: IndexedSeq[Int]): CompressedData = {
-    val combos = Array.newBuilder[Array[Int]]
-    val counts = Array.newBuilder[Long]
-    for ((combo, cnt) <- pairs) {
-      combos += combo.toArray
-      counts += cnt
-    }
-    new CompressedData(cards, combos.result(), counts.result())
-  }
 }

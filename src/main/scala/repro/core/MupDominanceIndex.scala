@@ -10,14 +10,16 @@ import scala.collection.mutable.ArrayBuffer
   *  - `dominatedBySome(P)`: ∃ MUP m strictly dominating P — the MUPs that
   *    generalize P (`above`: AND of the `X` vector where P has `X` and the
   *    value-or-`X` vector elsewhere). DEEPDIVER issues it per node.
-  *  - `dominatesSome(P)`: ∃ MUP m strictly dominated by P — the MUPs P
-  *    generalizes (`below`: AND of the vectors of P's deterministic values).
-  *    In DEEPDIVER's DFS order it is never true, so only this index's spec
-  *    and the benchmark's dominance probe call it.
+  *  - `dominatesSome(P)`: ∃ MUP m strictly dominated by P — among the MUPs
+  *    that agree with P on P's deterministic values (`below`: AND of the
+  *    value-or-`X` vectors there), one that P dominates. In DEEPDIVER's DFS
+  *    order it is never true, so only this index's spec and the benchmark's
+  *    dominance probe call it.
   *
   * Strictness (a pattern neither dominates nor is dominated by itself) is
-  * enforced by excluding exact-equal MUPs from the raw generalizes-check.
-  * A check allocates nothing.
+  * enforced on the candidate bits: `dominatedBySome` skips the MUP equal to
+  * P, `dominatesSome` keeps a candidate only when P dominates it. A check
+  * allocates nothing.
   */
 final class MupDominanceIndex(cards: IndexedSeq[Int]) {
   private val bits    = new PatternBits(cards)
@@ -39,14 +41,16 @@ final class MupDominanceIndex(cards: IndexedSeq[Int]) {
     * (i.e. p generalizes it and is not equal to it).
     */
   def dominatesSome(p: Pattern): Boolean =
-    mupList.nonEmpty && anySetExcluding(bits.below(p), p)
+    mupList.nonEmpty && anySet(bits.below(p), p, down = true)
 
   /** True iff some indexed MUP *strictly* dominates `p`. */
   def dominatedBySome(p: Pattern): Boolean =
-    mupList.nonEmpty && anySetExcluding(bits.above(p), p)
+    mupList.nonEmpty && anySet(bits.above(p), p, down = false)
 
-  /** Any bit set in `v` (null: none) whose MUP differs from `p`? */
-  private def anySetExcluding(v: Array[Long], p: Pattern): Boolean = {
+  /** Any bit set in `v` (null: none) whose MUP `p` dominates (`down`) or,
+    * as every candidate of `above` generalizes `p`, differs from `p`?
+    */
+  private def anySet(v: Array[Long], p: Pattern, down: Boolean): Boolean = {
     if (v == null) return false
     val n = bits.words
     var w = 0
@@ -54,7 +58,8 @@ final class MupDominanceIndex(cards: IndexedSeq[Int]) {
       var word = v(w)
       while (word != 0L) {
         val t = java.lang.Long.numberOfTrailingZeros(word)
-        if (mupList((w << 6) + t) != p) return true
+        val m = mupList((w << 6) + t)
+        if (if (down) p.dominates(m) else m != p) return true
         word &= word - 1
       }
       w += 1

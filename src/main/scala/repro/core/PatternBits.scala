@@ -1,18 +1,17 @@
 package repro.core
 
 /** The bit matrix behind the three inverted indices of the paper: per
-  * (attribute, value | X) a bit vector over a list of items, ANDed along a
+  * (attribute, value) a bit vector over a list of items, ANDed along a
   * pattern. The items are value combinations (Appendix A, `cov`), the MUPs
   * found so far (Appendix B, dominance) or the patterns to hit (§IV-B, Fig 9).
   *
   * Items are patterns appended in order (bit `j` is item `j`); a value
-  * combination is a pattern with no `X`, and code [[Pattern.X]] is `X`. Two
-  * families of vectors are kept:
+  * combination is a pattern with no `X`, and code [[Pattern.X]] is `X`. The
+  * vectors are:
   *
-  *  - `exact(i)(s)`: the items with value `s` at attribute `i`, where slot
-  *    `s = c_i` stands for `X`;
-  *  - `hit(i)(v)`: `exact(i)(v) | exact(i)(X)`, the items a value `v` at `i`
-  *    can still match.
+  *  - `hit(i)(v)`: the items whose value at attribute `i` is `v` or `X`, the
+  *    items a value `v` at `i` can still match;
+  *  - `x(i)`: the items whose value at attribute `i` is `X`.
   *
   * Every vector is a primitive `Array[Long]` of one shared capacity that
   * doubles when the item count outgrows it; words past the live count
@@ -27,13 +26,12 @@ final class PatternBits(val cards: IndexedSeq[Int]) {
   /** Allocated words per vector (≥ [[words]]). */
   private var capacity = 1
 
-  /** exact(i)(v) for v in 0..c_i-1; exact(i)(c_i) is the `X` slot. */
-  val exact: Array[Array[Array[Long]]] =
-    Array.tabulate(dim)(i => Array.fill(cards(i) + 1)(new Array[Long](capacity)))
-
-  /** hit(i)(v) = exact(i)(v) | exact(i)(c_i). */
+  /** hit(i)(v) for v in 0..c_i-1: the items with `v` or `X` at `i`. */
   val hit: Array[Array[Array[Long]]] =
     Array.tabulate(dim)(i => Array.fill(cards(i))(new Array[Long](capacity)))
+
+  /** x(i): the items with `X` at `i`. */
+  val x: Array[Array[Long]] = Array.fill(dim)(new Array[Long](capacity))
 
   /** Scratch buffer the queries AND into. */
   private var acc = new Array[Long](capacity)
@@ -50,7 +48,7 @@ final class PatternBits(val cards: IndexedSeq[Int]) {
   def add(elems: collection.IndexedSeq[Int]): Unit = {
     require(elems.length == dim, s"pattern dim ${elems.length} != $dim")
     for (i <- 0 until dim)
-      require(elems(i) >= Pattern.X && elems(i) < hit(i).length,
+      require(elems(i) >= Pattern.X && elems(i) < cards(i),
         s"value ${elems(i)} out of range [0, ${cards(i)}) for attribute $i")
     val word = n >>> 6
     if (word == capacity) grow()
@@ -60,13 +58,10 @@ final class PatternBits(val cards: IndexedSeq[Int]) {
       val e = elems(i)
       val h = hit(i)
       if (e == Pattern.X) {
-        exact(i)(h.length)(word) |= bit
+        x(i)(word) |= bit
         var v = 0
         while (v < h.length) { h(v)(word) |= bit; v += 1 }
-      } else {
-        exact(i)(e)(word) |= bit
-        h(e)(word) |= bit
-      }
+      } else h(e)(word) |= bit
       i += 1
     }
     n += 1
@@ -74,8 +69,8 @@ final class PatternBits(val cards: IndexedSeq[Int]) {
 
   private def grow(): Unit = {
     capacity *= 2
-    for (family <- Array(exact, hit); slots <- family; s <- slots.indices)
-      slots(s) = java.util.Arrays.copyOf(slots(s), capacity)
+    for (vecs <- hit :+ x; s <- vecs.indices)
+      vecs(s) = java.util.Arrays.copyOf(vecs(s), capacity)
     acc = new Array[Long](capacity)
   }
 
@@ -90,15 +85,17 @@ final class PatternBits(val cards: IndexedSeq[Int]) {
     dst
   }
 
-  /** The items `p` generalizes: the AND of `exact` over p's deterministic
-    * elements. Returns a vector whose first [[words]] words hold the set (an
-    * index vector itself when only one vector is ANDed), or `null` as soon as
-    * the set is empty.
+  /** The items that agree with `p` wherever p is deterministic (value `p_i`
+    * or `X` there): the AND of `hit(i)(p_i)` over p's deterministic elements.
+    * For items without `X` these are exactly the items `p` generalizes.
+    * Returns a vector whose first [[words]] words hold the set (an index
+    * vector itself when only one vector is ANDed), or `null` as soon as the
+    * set is empty.
     */
   def below(p: Pattern): Array[Long] = andAlong(p, up = false)
 
-  /** The items that generalize `p`: the AND of `exact(i)(X)` where p has `X`
-    * and of `hit(i)(p_i)` elsewhere. Same result convention as [[below]].
+  /** The items that generalize `p`: the AND of `x(i)` where p has `X` and of
+    * `hit(i)(p_i)` elsewhere. Same result convention as [[below]].
     */
   def above(p: Pattern): Array[Long] = andAlong(p, up = true)
 
@@ -108,9 +105,7 @@ final class PatternBits(val cards: IndexedSeq[Int]) {
     var i = 0
     while (i < dim) {
       val e = p.elems(i)
-      val vec =
-        if (e == Pattern.X) { if (up) exact(i)(hit(i).length) else null }
-        else if (up) hit(i)(e) else exact(i)(e)
+      val vec = if (e != Pattern.X) hit(i)(e) else if (up) x(i) else null
       if (vec != null) {
         if (v == null) v = vec
         else if (PatternBits.and(v, vec, acc, w)) v = acc

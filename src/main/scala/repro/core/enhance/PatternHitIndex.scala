@@ -22,9 +22,6 @@ final class PatternHitIndex(val patterns: IndexedSeq[Pattern], val cards: Indexe
   /** A filter with every pattern still unhit. */
   def fullFilter: Array[Long] = bits.allInto(new Array[Long](words))
 
-  /** Every word index `0 until words`: the default word list of [[andInto]]. */
-  private val allWords: Array[Int] = Array.range(0, words)
-
   /** Write the indices of the non-zero words of `filter` to the front of
     * `live`; returns how many there are.
     */
@@ -38,12 +35,11 @@ final class PatternHitIndex(val patterns: IndexedSeq[Pattern], val cards: Indexe
     n
   }
 
-  /** dst = a AND index(i)(v) on the words `live(0 until n)` (by default every
-    * word); returns the popcount of those words of dst. Other words of dst are
-    * left untouched, so the result is exact when `a` is zero outside them.
+  /** dst = a AND index(i)(v) on the words `live(0 until n)`; returns the
+    * popcount of those words of dst. Other words of dst are left untouched,
+    * so the result is exact when `a` is zero outside them.
     */
-  def andInto(a: Array[Long], i: Int, v: Int, dst: Array[Long],
-              live: Array[Int] = allWords, n: Int = words): Int = {
+  def andInto(a: Array[Long], i: Int, v: Int, dst: Array[Long], live: Array[Int], n: Int): Int = {
     val vec = index(i)(v)
     var cnt = 0
     var k = 0

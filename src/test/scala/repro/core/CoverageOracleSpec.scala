@@ -125,26 +125,6 @@ class CoverageOracleSpec extends AnyFunSuite {
     for (p <- Pattern.allPatterns(Vector(2, 2))) assert(index.cov(p) == 0L)
   }
 
-  test("fromAggregated round-trips counts") {
-    val data = CompressedData.fromAggregated(
-      Seq((Vector(0, 1), 7L), (Vector(1, 0), 3L)), Vector(2, 2))
-    assert(data.total == 10L)
-    val index = new InvertedIndex(data)
-    assert(index.cov(Pattern.parse("0X")) == 7L)
-    assert(index.cov(Pattern.parse("X0")) == 3L)
-    assert(index.cov(Pattern.parse("11")) == 0L)
-  }
-
-  test("fromAggregated rejects codes outside [0, c_i) before any index sees them") {
-    val e = intercept[IllegalArgumentException] {
-      CompressedData.fromAggregated(Seq((Vector(0, 1), 7L), (Vector(5, 0), 3L)), Vector(2, 2))
-    }
-    assert(e.getMessage.contains("value 5 out of range [0, 2) for attribute 0"), e.getMessage)
-    intercept[IllegalArgumentException] {
-      CompressedData.fromAggregated(Seq((Vector(0, -1), 1L)), Vector(2, 2))
-    }
-  }
-
   test("the constructor rejects a code of -1 or c_i, a wrong arity and a negative count") {
     val cards = Vector(2, 3)
     def build(combo: Array[Int], count: Long) = new CompressedData(cards, Array(Array(0, 0), combo), Array(1L, count))
@@ -160,7 +140,7 @@ class CoverageOracleSpec extends AnyFunSuite {
   }
 
   test("tau(rate) = max(1, ⌊rate · total⌋): 0 gives 1, fractions floor, COMPAS at 0.0015 gives 10") {
-    def ofTotal(total: Long) = CompressedData.fromAggregated(Seq((Vector(0), total)), Vector(1))
+    def ofTotal(total: Long) = new CompressedData(Vector(1), Array(Array(0)), Array(total))
     assert(example1.tau(0.0) == 1L)
     assert(example1.tau(0.1) == 1L)   // ⌊0.5⌋ = 0, raised to 1
     assert(example1.tau(0.5) == 2L)   // ⌊2.5⌋

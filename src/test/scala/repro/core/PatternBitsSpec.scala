@@ -25,20 +25,27 @@ class PatternBitsSpec extends AnyFunSuite {
         assert((0 until bits.words).map(w => java.lang.Long.bitCount(v(w))).sum == set.size, "bit past the last item")
         set
       }
+    /** The item ids of a stored vector, which must be zero past `words`. */
+    def stored(v: Array[Long], name: String): Set[Int] = {
+      for (w <- v.indices if w >= bits.words) assert(v(w) == 0L, s"$name word $w")
+      ids(v)
+    }
     def check(): Unit = {
       assert(bits.size == items.size && bits.words == (items.size + 63) / 64)
-      for (i <- cards.indices; s <- 0 to cards(i)) {
-        val x = bits.exact(i)(cards(i))
-        for (w <- bits.exact(i)(s).indices if w >= bits.words) assert(bits.exact(i)(s)(w) == 0L, s"exact($i)($s) word $w")
-        if (s < cards(i)) {
-          val h = bits.hit(i)(s)
-          for (w <- h.indices)
-            assert(h(w) == (if (w < bits.words) bits.exact(i)(s)(w) | x(w) else 0L), s"hit($i)($s) word $w")
-        }
+      for (i <- cards.indices) {
+        assert(stored(bits.x(i), s"x($i)") == items.indices.filter(j => items(j).elems(i) == Pattern.X).toSet, s"x($i)")
+        for (v <- 0 until cards(i))
+          assert(stored(bits.hit(i)(v), s"hit($i)($v)") ==
+            items.indices.filter(j => Set(v, Pattern.X)(items(j).elems(i))).toSet, s"hit($i)($v)")
       }
       val queries = Pattern.root(cards.size) +: (Vector.fill(8)(randomCombo()) ++ Vector.fill(8)(all(rnd.nextInt(all.size))))
       for (q <- queries ++ items.takeRight(2)) {
-        assert(ids(bits.below(q)) == items.indices.filter(j => q.generalizes(items(j))).toSet, s"below($q)")
+        val below = ids(bits.below(q))
+        val agree = items.indices.filter(j => cards.indices.forall(i => !q.isDet(i) || Set(q.elems(i), Pattern.X)(items(j).elems(i))))
+        assert(below == agree.toSet, s"below($q)")
+        // on items without X (value combinations) agreeing is being generalized
+        for (j <- items.indices if items(j).level == cards.size)
+          assert(below(j) == q.generalizes(items(j)), s"below($q) at combo ${items(j)}")
         assert(ids(bits.above(q)) == items.indices.filter(j => items(j).generalizes(q)).toSet, s"above($q)")
       }
     }
@@ -53,12 +60,21 @@ class PatternBitsSpec extends AnyFunSuite {
 
   test("add rejects a wrong arity or a code outside [0, c_i) ∪ {X}") {
     val bits = new PatternBits(Vector(2, 3))
-    intercept[IllegalArgumentException](bits.add(Vector(0)))
-    intercept[IllegalArgumentException](bits.add(Vector(0, 3)))
-    intercept[IllegalArgumentException](bits.add(Vector(-2, 0)))
+    def snapshot = (bits.x.toSeq ++ bits.hit.toSeq.flatMap(_.toSeq)).map(_.toVector)
+    // a rejected item leaves no bit behind, checked before any later add
+    def rejects(elems: Vector[Int]): Unit = {
+      val before = snapshot
+      intercept[IllegalArgumentException](bits.add(elems))
+      assert(snapshot == before, s"rejected $elems left a bit behind")
+    }
+    rejects(Vector(0))
+    rejects(Vector(0, 3))
+    rejects(Vector(-2, 0))
+    assert(bits.size == 0)
     bits.add(Vector(Pattern.X, 2))
+    rejects(Vector(1, 3))
     assert(bits.size == 1)
-    // the rejected (0, 3) left no bit behind at attribute 0
-    assert(bits.exact(0)(0)(0) == 0L && bits.exact(0)(2)(0) == 1L)
+    assert(bits.x(0)(0) == 1L && bits.hit(0)(0)(0) == 1L && bits.hit(0)(1)(0) == 1L)
+    assert(bits.x(1)(0) == 0L && bits.hit(1).map(_(0)).toSeq == Seq(0L, 0L, 1L))
   }
 }

@@ -38,6 +38,12 @@ class SparkCoverageSpec extends SparkSpec {
     val idxM = new InvertedIndex(viaMemory)
     for (p <- Seq("XXXX", "1XXX", "XX23", "X1X2", "0303").map(Pattern.parse))
       assert(idxS.cov(p) == idxM.cov(p), s"pattern $p")
+    // Byte, short and long code columns give the same (combo, count) pairs.
+    def pairs(c: CompressedData) = c.combos.map(_.toVector).zip(c.counts).toMap
+    for (t <- Seq("byte", "short", "long")) {
+      val cast = compas.select(attrs.map(a => col(a).cast(t).as(a)): _*)
+      assert(pairs(SparkCoverage.collectCompressed(cast, attrs, cards)) == pairs(viaMemory), s"$t codes")
+    }
   }
 
   test("pattern coverage on COMPAS matches DuckDB filters") {
@@ -84,5 +90,27 @@ class SparkCoverageSpec extends SparkSpec {
       SparkCoverage.collectCompressed(outOfRange, Seq("a0", "a1"), Vector(2, 2))
     }
     assert(r.getMessage.contains("value 5 out of range [0, 2)"), r.getMessage)
+    val short = intercept[IllegalArgumentException] {
+      SparkCoverage.collectCompressed(outOfRange, Seq("a0", "a1"), Vector(2))
+    }
+    assert(short.getMessage.contains("2 attributes but 1 cardinalities"), short.getMessage)
+
+    // A 64-bit code is range-checked before it is narrowed: 2^32 + 1 is not 1.
+    val wide = Seq((0L, 1), (4294967297L, 0)).toDF("a0", "a1")
+    val w = intercept[IllegalArgumentException] {
+      SparkCoverage.collectCompressed(wide, Seq("a0", "a1"), Vector(2, 2))
+    }
+    assert(w.getMessage.contains("value 4294967297 out of range [0, 2) for attribute column a0"), w.getMessage)
+
+    // A non-integral column is rejected by type before the scan, not truncated or cast.
+    for ((df, typ) <- Seq(
+           Seq((0, 1.5), (1, 0.0)).toDF("a0", "a1") -> "double",
+           Seq((0, "1"), (1, "0")).toDF("a0", "a1") -> "string",
+           Seq((0, true), (1, false)).toDF("a0", "a1") -> "boolean")) {
+      val t = intercept[IllegalArgumentException] {
+        SparkCoverage.collectCompressed(df, Seq("a0", "a1"), Vector(2, 2))
+      }
+      assert(t.getMessage.contains(s"attribute column a1 has type $typ"), t.getMessage)
+    }
   }
 }
