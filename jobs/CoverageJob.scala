@@ -22,8 +22,10 @@ import repro.spark.{CoverageData, SparkCoverage}
   * combinations to collect are printed.
   *
   * The §V-B COMPAS audit (τ = 10) is `dataset=compas tauRate=0.0015`.
-  * An argument that is not `key=value` with a known key, or a λ above the
-  * dataset's d, is rejected before a session starts.
+  * An argument that is not `key=value` with a known key, a `tauRate` outside
+  * [0, 1] (or NaN), an `n` below 1, a negative `lambda` or `maxLevel`, an
+  * airbnb `d` outside 1..64, or a λ above the dataset's d, is rejected by a
+  * message naming the key before a session starts.
   */
 object CoverageJob {
   private val keys = Seq("dataset", "n", "d", "tauRate", "algo", "maxLevel", "lambda")
@@ -38,7 +40,13 @@ object CoverageJob {
     val d       = opts.getOrElse("d", "13").toInt
     val tauRate = opts.getOrElse("tauRate", "0.001").toDouble
     val lambda  = opts.get("lambda").map(_.toInt)
-    val maxLvl  = opts.get("maxLevel").map(_.toInt).orElse(lambda).filter(_ > 0).getOrElse(Int.MaxValue)
+    val level   = opts.get("maxLevel").map(_.toInt)
+    require(tauRate >= 0.0 && tauRate <= 1.0, s"tauRate=$tauRate must be a rate in [0, 1]")
+    for (v <- n) require(v >= 1, s"n=$v must be at least 1")
+    for (l <- lambda) require(l >= 0, s"lambda=$l must not be negative")
+    for (m <- level) require(m >= 0, s"maxLevel=$m must not be negative (0 = unlimited)")
+    if (dataset == "airbnb") require(d >= 1 && d <= 64, s"d=$d must be in 1..64")
+    val maxLvl  = level.orElse(lambda).filter(_ > 0).getOrElse(Int.MaxValue)
     for (l <- lambda)
       require(maxLvl >= l, s"maxLevel $maxLvl is below lambda $l: the level-$l patterns to hit would be incomplete")
     val algo: MupAlgorithm = opts.getOrElse("algo", "deepdiver") match {

@@ -40,28 +40,6 @@ final class CompressedData(
 
   /** The coverage threshold for a rate of the rows: max(1, ⌊rate · total⌋). */
   def tau(rate: Double): Long = math.max(1L, (rate * total).toLong)
-
-  /** Reference coverage computation by direct scan over the distinct combos
-    * (Definition 2). O(distinctCombos × d); the inverted-index oracle in
-    * [[InvertedIndex]] is the fast path — this is the correctness baseline.
-    */
-  def coverageScan(p: Pattern): Long = {
-    var sum = 0L
-    var k = 0
-    while (k < combos.length) {
-      val row = combos(k)
-      var ok = true
-      var i = 0
-      while (ok && i < dim) {
-        val e = p.elems(i)
-        if (e != Pattern.X && e != row(i)) ok = false
-        i += 1
-      }
-      if (ok) sum += counts(k)
-      k += 1
-    }
-    sum
-  }
 }
 
 object CompressedData {

@@ -60,15 +60,6 @@ final case class Pattern(elems: Vector[Int]) {
     for (i <- 0 until dim if elems(i) != X)
       yield Pattern(elems.updated(i, X))
 
-  /** All children: one non-deterministic element replaced by every value of
-    * its attribute (needs the cardinalities `cards`).
-    */
-  def children(cards: IndexedSeq[Int]): Seq[Pattern] =
-    for {
-      i <- 0 until dim if elems(i) == X
-      v <- 0 until cards(i)
-    } yield Pattern(elems.updated(i, v))
-
   /** Rule 1 (top-down tree transform): children obtained by specializing only
     * the non-deterministic elements strictly to the right of the right-most
     * deterministic element. Each non-root node is generated exactly once —
@@ -148,8 +139,12 @@ object Pattern {
     Pattern(out.result())
   }
 
-  /** Build from a fully-specified tuple (every element deterministic). */
-  def fromTuple(t: IndexedSeq[Int]): Pattern = Pattern(t.toVector)
+  /** Number of patterns over `cards`, the pattern graph's nodes (§III-B):
+    * `Π (c_i + 1)`. Throws `ArithmeticException` when it exceeds
+    * `Long.MaxValue`.
+    */
+  def nodeCount(cards: IndexedSeq[Int]): Long =
+    cards.foldLeft(1L)((a, c) => Math.multiplyExact(a, c + 1L))
 
   /** Enumerate every fully-specified value combination for `cards`
     * (lexicographic). Size is `Π c_i` — callers must keep this small.

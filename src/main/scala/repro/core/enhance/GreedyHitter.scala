@@ -12,8 +12,9 @@ import repro.core.Pattern
   * of their remaining-hit upper bound (ties toward the lower value) and a
   * branch is pruned as soon as that bound cannot beat the best complete
   * combination found so far. The pick is the first maximum in this visit
-  * order (the tie-break): pruning never cuts a strictly better leaf, so
-  * [[NaiveHitter]]'s unpruned walk in the same order picks the same one.
+  * order (the tie-break): pruning never cuts a strictly better leaf, so the
+  * unpruned walk in the same order (the naive greedy of §IV-A, the tests'
+  * reference) picks the same one.
   *
   * One search serves every round of a run. It owns one child-filter buffer
   * per (depth, value), allocated once, and a round touches only the words

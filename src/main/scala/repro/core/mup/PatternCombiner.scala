@@ -36,7 +36,7 @@ object PatternCombiner extends MupAlgorithm {
     val present = mutable.HashMap.empty[Pattern, Long]
     var k = 0
     while (k < data.combos.length) {
-      present(Pattern.fromTuple(data.combos(k).toIndexedSeq)) = data.counts(k)
+      present(Pattern(data.combos(k).toVector)) = data.counts(k)
       k += 1
     }
     var level   = d

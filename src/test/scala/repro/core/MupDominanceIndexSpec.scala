@@ -89,7 +89,7 @@ class MupDominanceIndexSpec extends AnyFunSuite {
   test("an indexed MUP excludes only itself at the word edges 63, 64, 127, 128") {
     // 130 fully specified combinations: no two dominate each other.
     val cards = Vector.fill(8)(2)
-    val combos = Pattern.allCombos(cards).map(Pattern.fromTuple).take(130).toVector
+    val combos = Pattern.allCombos(cards).map(Pattern(_)).take(130).toVector
     val idx = new MupDominanceIndex(cards)
     val edges = Set(63, 64, 127, 128)
     // m is excluded from its own checks, yet its bit is set: a parent that

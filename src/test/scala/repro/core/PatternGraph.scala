@@ -1,16 +1,13 @@
 package repro.core
 
-/** Combinatorics of the pattern graph (paper §III-B, Definition 8) plus
-  * small-graph enumeration helpers used by tests and the naïve baseline.
+/** Combinatorics of the pattern graph (paper §III-B, Definition 8), checked
+  * against enumeration by `PatternGraphSpec`; the total node count the
+  * pipeline needs is [[Pattern.nodeCount]].
   *
   * The counts are exact: for cardinalities >= 1, each throws
   * `ArithmeticException` when its answer exceeds `Long.MaxValue`.
   */
 object PatternGraph {
-
-  /** Total number of nodes: `Π (c_i + 1)`. */
-  def nodeCount(cards: IndexedSeq[Int]): Long =
-    cards.foldLeft(1L)((a, c) => Math.multiplyExact(a, c + 1L))
 
   /** Number of nodes at level ℓ: sum over ℓ-subsets S of attributes of
     * `Π_{i∈S} c_i` (reduces to `C(d,ℓ)·c^ℓ` when all cardinalities equal).

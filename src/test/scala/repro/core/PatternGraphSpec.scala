@@ -6,7 +6,7 @@ import org.scalatest.funsuite.AnyFunSuite
 class PatternGraphSpec extends AnyFunSuite {
 
   test("Fig 2: three binary attributes give 27 nodes") {
-    assert(PatternGraph.nodeCount(Vector(2, 2, 2)) == 27L)
+    assert(Pattern.nodeCount(Vector(2, 2, 2)) == 27L)
   }
 
   test("Fig 2: 6 nodes at level 1 and 12 at level 2 (C(d,l)·c^l)") {
@@ -29,7 +29,7 @@ class PatternGraphSpec extends AnyFunSuite {
   test("node counts sum across levels to the total") {
     for (cards <- Seq(Vector(2, 3), Vector(2, 2, 2), Vector(3, 2, 4), Vector(2, 3, 2, 2))) {
       val sum = (0 to cards.length).map(PatternGraph.nodeCountAtLevel(cards, _)).sum
-      assert(sum == PatternGraph.nodeCount(cards))
+      assert(sum == Pattern.nodeCount(cards))
     }
   }
 
@@ -63,7 +63,7 @@ class PatternGraphSpec extends AnyFunSuite {
 
   test("node count is exact at 3^39 (d = 39) and throws at 3^40 (d = 40)") {
     assert(BigInt(3).pow(39).isValidLong && !BigInt(3).pow(40).isValidLong)
-    for (d <- Seq(39, 40)) exactOrThrows(BigInt(3).pow(d))(PatternGraph.nodeCount(Vector.fill(d)(2)))
+    for (d <- Seq(39, 40)) exactOrThrows(BigInt(3).pow(d))(Pattern.nodeCount(Vector.fill(d)(2)))
   }
 
   test("node count per level is exact up to Long.MaxValue and throws past it") {

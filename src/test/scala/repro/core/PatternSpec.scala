@@ -18,6 +18,13 @@ class PatternSpec extends AnyFunSuite {
     Vector(2, 3, 2, 4),
   )
 
+  /** All children: one `X` of `p` replaced by every value of its attribute. */
+  private def children(p: Pattern, cards: IndexedSeq[Int]): Seq[Pattern] =
+    for {
+      i <- 0 until p.dim if !p.isDet(i)
+      v <- 0 until cards(i)
+    } yield Pattern(p.elems.updated(i, v))
+
   private def forAllCards(body: Vector[Int] => Unit): Unit = cardCases.foreach(body)
 
   private val X = Pattern.X
@@ -119,20 +126,20 @@ class PatternSpec extends AnyFunSuite {
 
   test("root has no parents; fully deterministic has no children") {
     assert(Pattern.root(3).parents.isEmpty)
-    assert(Pattern.parse("101").children(Vector(2, 2, 2)).isEmpty)
+    assert(children(Pattern.parse("101"), Vector(2, 2, 2)).isEmpty)
   }
 
   test("children specialize one X to every value") {
     val p = Pattern.parse("1X")
-    assert(p.children(Vector(2, 3)).toSet == Set(
+    assert(children(p, Vector(2, 3)).toSet == Set(
       Pattern.parse("10"), Pattern.parse("11"), Pattern.parse("12")))
   }
 
   test("property: parent/child are inverse relations") {
     forAllCards { cards =>
       for (p <- Pattern.allPatterns(cards)) {
-        for (q <- p.parents) assert(q.children(cards).contains(p))
-        for (q <- p.children(cards)) assert(q.parents.contains(p))
+        for (q <- p.parents) assert(children(q, cards).contains(p))
+        for (q <- children(p, cards)) assert(q.parents.contains(p))
       }
     }
   }

@@ -2,7 +2,6 @@ package repro.core.mup
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.CompressedData
-import scala.util.Random
 
 /** The invariant DEEPDIVER's search rests on: in its DFS order every strict
   * generalization of a node is popped before the node, so an uncovered node
@@ -10,8 +9,8 @@ import scala.util.Random
   * exactly PATTERN-BREAKER's nodes and makes exactly its cov calls, at every
   * level limit.
   *
-  * The datasets are `MupAlgorithmsSpec`'s random, skewed and
-  * high-cardinality ones (same generators, same seeds).
+  * The datasets are [[MupDatasets]]' random, skewed and high-cardinality
+  * families, the ones `MupAlgorithmsSpec` checks against brute force.
   */
 class DeepDiverSpec extends AnyFunSuite {
 
@@ -25,38 +24,18 @@ class DeepDiverSpec extends AnyFunSuite {
       assert(dd.covCalls == pb.covCalls, clue)
     }
 
+  private def cases(family: Seq[MupDatasets.Case]): Seq[(CompressedData, Long)] =
+    family.flatMap(c => c.taus.map(c.data -> _))
+
   test("DeepDiver visits PatternBreaker's nodes with its cov calls: random datasets") {
-    val rnd = new Random(314159L)
-    assertSameWork(Vector.fill(40) {
-      val d     = 1 + rnd.nextInt(4)
-      val cards = Vector.fill(d)(2 + rnd.nextInt(3))
-      val n     = rnd.nextInt(80)
-      val rows  = Vector.fill(n)(Vector.tabulate(d)(i => rnd.nextInt(cards(i))))
-      val tau   = 1 + rnd.nextInt(6)
-      (CompressedData.fromRows(rows, cards), tau.toLong)
-    })
+    assertSameWork(cases(MupDatasets.random))
   }
 
   test("DeepDiver visits PatternBreaker's nodes with its cov calls: skewed datasets") {
-    val rnd = new Random(27L)
-    assertSameWork(Vector.fill(10) {
-      val cards = Vector(2, 3, 2, 2)
-      val hot   = Vector.tabulate(4)(i => rnd.nextInt(cards(i)))
-      val rows  = Vector.fill(100)(hot) ++
-        Vector.fill(10)(Vector.tabulate(4)(i => rnd.nextInt(cards(i))))
-      CompressedData.fromRows(rows, cards)
-    }.flatMap(data => Seq(1L, 5L, 20L, 100L).map(data -> _)))
+    assertSameWork(cases(MupDatasets.skewed))
   }
 
   test("DeepDiver visits PatternBreaker's nodes with its cov calls: high-cardinality datasets") {
-    val rnd = new Random(1863L)
-    assertSameWork(Vector.fill(10) {
-      val d     = 2 + rnd.nextInt(2)
-      val cards = Vector.fill(d)(2 + rnd.nextInt(5))
-      val n     = 10 + rnd.nextInt(120)
-      val rows  = Vector.fill(n)(Vector.tabulate(d)(i => rnd.nextInt(cards(i))))
-      val tau   = 1 + rnd.nextInt(8)
-      (CompressedData.fromRows(rows, cards), tau.toLong)
-    })
+    assertSameWork(cases(MupDatasets.highCardinality))
   }
 }

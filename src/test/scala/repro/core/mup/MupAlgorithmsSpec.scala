@@ -146,59 +146,38 @@ class MupAlgorithmsSpec extends AnyFunSuite {
 
   // One registered test per randomized configuration (deterministic seed):
   // each is an independent dataset/threshold agreement check vs brute force.
-  {
-    val rnd = new Random(314159L)
-    for (trial <- 0 until 40) {
-      val d     = 1 + rnd.nextInt(4)
-      val cards = Vector.fill(d)(2 + rnd.nextInt(3))
-      val n     = rnd.nextInt(80)
-      val rows  = Vector.fill(n)(Vector.tabulate(d)(i => rnd.nextInt(cards(i))))
-      val tau   = 1 + rnd.nextInt(6)
-      test(s"random agreement trial $trial: cards=$cards n=$n tau=$tau") {
-        val data = dataOf(rows, cards)
-        val expected = bruteForceMups(data, tau)
-        for (algo <- algorithms) {
-          assert(algo.findMups(data, tau).mups == expected, algo.name)
-        }
+  for ((c, trial) <- MupDatasets.random.zipWithIndex) {
+    val tau = c.taus.head
+    test(s"random agreement trial $trial: cards=${c.cards} n=${c.rows.size} tau=$tau") {
+      val data = c.data
+      val expected = bruteForceMups(data, tau)
+      for (algo <- algorithms) {
+        assert(algo.findMups(data, tau).mups == expected, algo.name)
       }
     }
   }
 
   // Skewed datasets: most mass on one hot combo, a sprinkle elsewhere.
-  {
-    val rnd = new Random(27L)
-    for (trial <- 0 until 10) {
-      val cards = Vector(2, 3, 2, 2)
-      val hot   = Vector.tabulate(4)(i => rnd.nextInt(cards(i)))
-      val rows  = Vector.fill(100)(hot) ++
-        Vector.fill(10)(Vector.tabulate(4)(i => rnd.nextInt(cards(i))))
-      test(s"skewed agreement trial $trial: hot=${hot.mkString}") {
-        val data = dataOf(rows, cards)
-        for (tau <- Seq(1L, 5L, 20L, 100L)) {
-          val expected = bruteForceMups(data, tau)
-          for (algo <- algorithms) {
-            assert(algo.findMups(data, tau).mups == expected, s"${algo.name} tau=$tau")
-          }
+  for ((c, trial) <- MupDatasets.skewed.zipWithIndex) {
+    test(s"skewed agreement trial $trial: hot=${c.rows.head.mkString}") {
+      val data = c.data
+      for (tau <- c.taus) {
+        val expected = bruteForceMups(data, tau)
+        for (algo <- algorithms) {
+          assert(algo.findMups(data, tau).mups == expected, s"${algo.name} tau=$tau")
         }
       }
     }
   }
 
   // Higher-cardinality attributes (BlueNile-like, values up to 6).
-  {
-    val rnd = new Random(1863L)
-    for (trial <- 0 until 10) {
-      val d     = 2 + rnd.nextInt(2)
-      val cards = Vector.fill(d)(2 + rnd.nextInt(5))
-      val n     = 10 + rnd.nextInt(120)
-      val rows  = Vector.fill(n)(Vector.tabulate(d)(i => rnd.nextInt(cards(i))))
-      val tau   = 1 + rnd.nextInt(8)
-      test(s"high-cardinality agreement trial $trial: cards=$cards n=$n tau=$tau") {
-        val data = dataOf(rows, cards)
-        val expected = bruteForceMups(data, tau)
-        for (algo <- algorithms) {
-          assert(algo.findMups(data, tau).mups == expected, algo.name)
-        }
+  for ((c, trial) <- MupDatasets.highCardinality.zipWithIndex) {
+    val tau = c.taus.head
+    test(s"high-cardinality agreement trial $trial: cards=${c.cards} n=${c.rows.size} tau=$tau") {
+      val data = c.data
+      val expected = bruteForceMups(data, tau)
+      for (algo <- algorithms) {
+        assert(algo.findMups(data, tau).mups == expected, algo.name)
       }
     }
   }

@@ -102,4 +102,26 @@ class JobsSpec extends SparkSpec {
     }
     assert(e.getMessage.contains("maxLevel 2 is below lambda 3"), e.getMessage)
   }
+
+  test("CoverageJob rejects a bad tauRate, n, lambda, maxLevel or airbnb d by naming the key") {
+    for ((bad, msg) <- Seq(
+           "tauRate=NaN"       -> "tauRate=NaN must be a rate in [0, 1]",
+           "tauRate=Infinity"  -> "tauRate=Infinity must be a rate in [0, 1]",
+           "tauRate=-0.01"     -> "tauRate=-0.01 must be a rate in [0, 1]",
+           "tauRate=1.5"       -> "tauRate=1.5 must be a rate in [0, 1]",
+           "n=0"               -> "n=0 must be at least 1",
+           "n=-5"              -> "n=-5 must be at least 1",
+           "lambda=-1"         -> "lambda=-1 must not be negative",
+           "maxLevel=-1"       -> "maxLevel=-1 must not be negative",
+           "d=0"               -> "d=0 must be in 1..64",
+           "d=65"              -> "d=65 must be in 1..64")) {
+      val e = intercept[IllegalArgumentException] {
+        CoverageJob.main(Array("dataset=airbnb", "n=2000", "d=6", bad))
+      }
+      assert(e.getMessage.contains(msg), s"$bad: ${e.getMessage}")
+    }
+    // d is read only by airbnb; a rate of 0 is valid and gives τ = 1
+    val out = captureOut(CoverageJob.main(Array("dataset=compas", "d=65", "tauRate=0", "maxLevel=1")))
+    assert(out.contains("n=6889 ") && out.contains("tau=1 "), out)
+  }
 }
