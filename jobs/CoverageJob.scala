@@ -22,10 +22,11 @@ import repro.spark.{CoverageData, SparkCoverage}
   * combinations to collect are printed.
   *
   * The §V-B COMPAS audit (τ = 10) is `dataset=compas tauRate=0.0015`.
-  * An argument that is not `key=value` with a known key, a `tauRate` outside
-  * [0, 1] (or NaN), an `n` below 1, a negative `lambda` or `maxLevel`, an
-  * airbnb `d` outside 1..64, or a λ above the dataset's d, is rejected by a
-  * message naming the key before a session starts.
+  * An argument that is not `key=value` with a known key, a numeric argument
+  * that is not a number, a `tauRate` outside [0, 1] (or NaN), an `n` below 1,
+  * a negative `lambda` or `maxLevel`, an airbnb `d` outside 1..64, or a λ
+  * above the dataset's d, is rejected by a message naming the key before a
+  * session starts.
   */
 object CoverageJob {
   private val keys = Seq("dataset", "n", "d", "tauRate", "algo", "maxLevel", "lambda")
@@ -35,12 +36,19 @@ object CoverageJob {
       case Array(k, v) if keys.contains(k) => k -> v
       case _ => throw new IllegalArgumentException(s"unknown argument '$a': expected key=value, key one of ${keys.mkString(", ")}")
     }).toMap
+    /** The value of `key`, if given, read by `read`; a value that is not a
+      * number is rejected by a message naming the key and the expected form.
+      */
+    def num[T](key: String, form: String)(read: String => T): Option[T] =
+      opts.get(key).map(v =>
+        try read(v)
+        catch { case _: NumberFormatException => throw new IllegalArgumentException(s"$key=$v must be $form") })
     val dataset = opts.getOrElse("dataset", "airbnb")
-    val n       = opts.get("n").map(_.toLong)
-    val d       = opts.getOrElse("d", "13").toInt
-    val tauRate = opts.getOrElse("tauRate", "0.001").toDouble
-    val lambda  = opts.get("lambda").map(_.toInt)
-    val level   = opts.get("maxLevel").map(_.toInt)
+    val n       = num("n", "an integer")(_.toLong)
+    val d       = num("d", "an integer")(_.toInt).getOrElse(13)
+    val tauRate = num("tauRate", "a number")(_.toDouble).getOrElse(0.001)
+    val lambda  = num("lambda", "an integer")(_.toInt)
+    val level   = num("maxLevel", "an integer")(_.toInt)
     require(tauRate >= 0.0 && tauRate <= 1.0, s"tauRate=$tauRate must be a rate in [0, 1]")
     for (v <- n) require(v >= 1, s"n=$v must be at least 1")
     for (l <- lambda) require(l >= 0, s"lambda=$l must not be negative")

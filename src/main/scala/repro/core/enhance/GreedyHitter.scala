@@ -1,6 +1,6 @@
 package repro.core.enhance
 
-import repro.core.Pattern
+import repro.core.{Codec, Pattern}
 
 /** The efficient greedy hitting-set of paper §IV-B (Algorithms 4 and 5).
   *
@@ -10,49 +10,201 @@ import repro.core.Pattern
   * tree (Fig 10) depth-first, carrying the AND of the inverted indices along
   * the path as a bit-vector filter; children are visited in descending order
   * of their remaining-hit upper bound (ties toward the lower value) and a
-  * branch is pruned as soon as that bound cannot beat the best complete
-  * combination found so far. The pick is the first maximum in this visit
-  * order (the tie-break): pruning never cuts a strictly better leaf, so the
-  * unpruned walk in the same order (the naive greedy of §IV-A, the tests'
-  * reference) picks the same one.
+  * branch is pruned as soon as that bound cannot beat the incumbent. The pick
+  * is the first maximum in this visit order (the tie-break): pruning never
+  * cuts a strictly better leaf, so the unpruned walk in the same order (the
+  * naive greedy of §IV-A, the tests' reference) picks the same one.
   *
-  * One search serves every round of a run. It owns one child-filter buffer
-  * per (depth, value), allocated once, and a round touches only the words
-  * that are non-zero in that round's filter: every node's filter is a subset
-  * of the round filter, so the other words are zero throughout the round.
+  * Each round starts knowing its answer. While the combo space `Π c_i` fits a
+  * fixed leaf budget, GREEDY keeps the naive greedy's per-combination hit
+  * counts as one dense array indexed by [[Codec]] combo id: filled once (each
+  * pattern adds 1 to every combination it matches) and, each round, lowered by
+  * the patterns the pick hit. Its maximum M is the round's best count, so the
+  * search starts with incumbent M − 1 and stops at the first leaf that reaches
+  * M. Subtrees whose bound is below M hold no maximum, so that leaf is the
+  * first maximum in visit order and the pick is the same as without the
+  * bound. A subtree's combinations are one range of combo ids, so a child is
+  * also skipped when no count in its range reaches M: the first child entered
+  * holds the round's first maximum, and a round walks one root-to-leaf path.
+  * Above the budget a round starts at incumbent 0 and prunes by the filter
+  * bounds alone.
+  *
+  * The patterns are indexed in codec order (lexicographic, `X` after every
+  * value), so patterns that agree on a prefix share filter words and a tree
+  * node's filter is non-zero in few words. One search serves every round of a
+  * run. It owns one child-filter buffer per (depth, value), allocated once,
+  * and each node on the path keeps the list of its filter's non-zero words:
+  * a child's filter is a subset of its parent's, so its children AND only
+  * those words.
   */
 object GreedyHitter {
 
   /** Result: combinations to collect plus work counters for the benches. */
   final case class Result(combos: Vector[Vector[Int]], nodesExplored: Long)
 
+  /** The largest `Π c_i` for which a run keeps the leaf-count bound (4 MB). */
+  private val LeafBudget = 1L << 20
+
+  /** The most ids, `Π (c_i + 1)`, of the leaf counts' low block. */
+  private val LowCells = 1 << 16
+
   /** Run GREEDY over the patterns to hit. Returns the chosen combinations in
     * selection order. Patterns must be non-empty-hittable (every pattern is
     * hit by at least one combination — always true for patterns over the same
     * attribute domain).
     */
-  def run(patterns: IndexedSeq[Pattern], cards: IndexedSeq[Int]): Result = {
+  def run(patterns: IndexedSeq[Pattern], cards: IndexedSeq[Int]): Result =
+    run(patterns, cards, LeafBudget)
+
+  /** [[run]] with the leaf-count bound kept only while `Π c_i <= leafBudget`. */
+  private[enhance] def run(patterns: IndexedSeq[Pattern], cards: IndexedSeq[Int], leafBudget: Long): Result = {
     if (patterns.isEmpty) return Result(Vector.empty, 0L)
-    val idx    = new PatternHitIndex(patterns, cards)
+    // Past a Long pattern space there are no codec ids: the input order stays
+    // and every round starts at incumbent 0.
+    val codec   = Codec.fitting(cards)
+    val ids     = codec.fold(Array.emptyLongArray)(sortedIds(patterns, _))
+    val ordered = codec.fold(patterns)(c => ids.iterator.map(c.pattern).toVector)
+    val leaves  = codec.filter(_.comboCount <= leafBudget).map(new LeafCounts(_, ids))
+
+    val idx    = new PatternHitIndex(ordered, cards)
     val filter = idx.fullFilter
-    val search = new HitCountSearch(idx, cards)
+    val search = new HitCountSearch(idx, cards, leaves.orNull)
     val out    = Vector.newBuilder[Vector[Int]]
 
     while (idx.popcount(filter) > 0) {
-      val count = search.best(filter)
-      require(count > 0, "no combination hits any remaining pattern")
+      val floor = leaves.fold(0)(_.max - 1)
+      val count = search.best(filter, floor)
+      require(count > floor, s"no combination hits more than $floor remaining patterns")
       val combo = search.bestCombo
       out += combo
       // Clear the patterns this combination hits.
       val hit = idx.hitsOf(combo, filter)
+      leaves.foreach(_.remove(hit))
       var w = 0
       while (w < filter.length) { filter(w) &= ~hit(w); w += 1 }
     }
     Result(out.result(), search.nodes)
   }
 
-  /** Algorithm 4 over the whole tree, reusable across rounds. */
-  private final class HitCountSearch(idx: PatternHitIndex, cards: IndexedSeq[Int]) {
+  /** The patterns' codec ids, ascending. */
+  private def sortedIds(patterns: IndexedSeq[Pattern], codec: Codec): Array[Long] = {
+    val ids = patterns.iterator.map(p => codec.patternId(p.elems)).toArray
+    java.util.Arrays.sort(ids)
+    ids
+  }
+
+  /** The unhit patterns matching each value combination, by combo id: the
+    * naive greedy's hit counts (§IV-A), kept incrementally. `ids(j)` is the
+    * codec id of pattern `j` of the hit index.
+    *
+    * A pattern's combinations are its base id plus every sum of
+    * `v · stride(i)` over its X attributes. The trailing attributes whose
+    * `Π (c_i + 1)` fits [[LowCells]] form a low block: each X set within it
+    * has one table of those sums, built on first use, so a pattern's
+    * combinations are a walk over its other X attributes with one table loop
+    * at each step.
+    */
+  private final class LeafCounts(codec: Codec, ids: Array[Long]) {
+    private val d      = codec.dim
+    private val elems  = new Array[Int](d)
+    private val card   = codec.cards.toArray
+    private val stride = Array.tabulate(d)(i => codec.comboStride(i).toInt)
+    private val cells  = new Array[Int](codec.comboCount.toInt)
+    /** The low block is attributes `low until d`. */
+    private val low    = {
+      var i = d
+      var size = 1L
+      while (i > 0 && size * (card(i - 1) + 1) <= LowCells) { size *= card(i - 1) + 1; i -= 1 }
+      i
+    }
+    /** tables(s): the offsets of the X set `s` (bit `i - low` for attribute `i`). */
+    private val tables = new Array[Array[Int]](1 << (d - low))
+    /** The X attributes before the low block of the pattern being added. */
+    private val xs     = new Array[Int](d)
+
+    ids.foreach(add(_, 1))
+
+    /** The most unhit patterns one combination matches. */
+    def max: Int = {
+      var m = 0
+      var k = 0
+      while (k < cells.length) { if (cells(k) > m) m = cells(k); k += 1 }
+      m
+    }
+
+    /** Whether some combination that starts with `prefix(0 until len)`
+      * matches at least `m` unhit patterns. In codec order those
+      * combinations are one range of ids.
+      */
+    def reaches(prefix: Array[Int], len: Int, m: Int): Boolean = {
+      var lo = 0
+      var i  = 0
+      while (i < len) { lo += prefix(i) * stride(i); i += 1 }
+      val hi = lo + stride(len - 1)
+      var k = lo
+      while (k < hi) { if (cells(k) >= m) return true; k += 1 }
+      false
+    }
+
+    /** Take the patterns whose bits are set in `hit` out of the counts. */
+    def remove(hit: Array[Long]): Unit = {
+      var w = 0
+      while (w < hit.length) {
+        var b = hit(w)
+        while (b != 0L) {
+          add(ids((w << 6) + java.lang.Long.numberOfTrailingZeros(b)), -1)
+          b &= b - 1
+        }
+        w += 1
+      }
+    }
+
+    /** Add `delta` to every combination the pattern with codec id `id` matches. */
+    private def add(id: Long, delta: Int): Unit = {
+      codec.patternInto(id, elems)
+      var base = 0
+      var nx   = 0
+      var set  = 0
+      var i    = 0
+      while (i < d) {
+        if (elems(i) != Pattern.X) base += elems(i) * stride(i)
+        else if (i >= low) set |= 1 << (i - low)
+        else { xs(nx) = i; nx += 1 }
+        i += 1
+      }
+      spread(base, nx - 1, table(set), delta)
+    }
+
+    /** Add `delta` at `off` plus each of `offsets` plus every sum the X
+      * attributes `xs(0..k)` can contribute.
+      */
+    private def spread(off: Int, k: Int, offsets: Array[Int], delta: Int): Unit =
+      if (k < 0) {
+        var j = 0
+        while (j < offsets.length) { cells(off + offsets(j)) += delta; j += 1 }
+      } else {
+        val a = xs(k)
+        var o = off
+        var v = 0
+        while (v < card(a)) { spread(o, k - 1, offsets, delta); o += stride(a); v += 1 }
+      }
+
+    private def table(set: Int): Array[Int] = {
+      if (tables(set) == null) {
+        var offs = Array(0)
+        for (i <- low until d if (set >> (i - low) & 1) == 1)
+          offs = offs.flatMap(o => Array.tabulate(card(i))(o + _ * stride(i)))
+        tables(set) = offs
+      }
+      tables(set)
+    }
+  }
+
+  /** Algorithm 4 over the whole tree, reusable across rounds. With `leaves`
+    * (null above the leaf budget) a child is entered only if its range of
+    * leaf counts reaches the incumbent plus one.
+    */
+  private final class HitCountSearch(idx: PatternHitIndex, cards: IndexedSeq[Int], leaves: LeafCounts) {
     private val d = cards.length
     /** Tree nodes visited over all rounds. */
     var nodes = 0L
@@ -61,8 +213,11 @@ object GreedyHitter {
     private val bufs   = Array.tabulate(d)(i => Array.fill(cards(i))(new Array[Long](idx.words)))
     private val counts = Array.tabulate(d)(i => new Array[Int](cards(i)))
     private val order  = Array.tabulate(d)(i => new Array[Int](cards(i)))
-    private val live   = new Array[Int](idx.words)
-    private var liveN  = 0
+    /** lives(i): the non-zero words of the filter of the depth-i node on the
+      * current path; only those words of that filter are valid.
+      */
+    private val lives  = Array.fill(d + 1)(new Array[Int](idx.words))
+    private val all    = Array.range(0, idx.words)
 
     private val prefix    = new Array[Int](d)
     private val best      = new Array[Int](d)
@@ -71,17 +226,18 @@ object GreedyHitter {
     /** The combination found by the last [[best]] call. */
     def bestCombo: Vector[Int] = best.toVector
 
-    /** The most patterns of `filter` one combination hits; the combination
-      * is then [[bestCombo]] (the first maximum in visit order).
+    /** The most patterns of `filter` one combination hits, if more than
+      * `floor`; the combination is then [[bestCombo]] (the first maximum in
+      * visit order). Returns `floor` when no combination beats it.
       */
-    def best(filter: Array[Long]): Int = {
-      liveN = idx.liveWords(filter, live)
-      bestCount = 0
-      descend(filter, 0)
+    def best(filter: Array[Long], floor: Int): Int = {
+      bestCount = floor
+      descend(filter, 0, idx.liveWords(filter, all, idx.words, lives(0)))
       bestCount
     }
 
-    private def descend(filter: Array[Long], i: Int): Unit = {
+    /** Visit the depth-`i` node with `filter`, non-zero in the `n` words `lives(i)`. */
+    private def descend(filter: Array[Long], i: Int, n: Int): Unit = {
       nodes += 1
       if (i == d) {
         val cnt = idx.popcount(filter)
@@ -89,13 +245,14 @@ object GreedyHitter {
         return
       }
       // Compute each child's filter and upper bound, then visit descending.
-      val c  = cards(i)
-      val fs = bufs(i)
-      val cs = counts(i)
-      val ord = order(i)
+      val c    = cards(i)
+      val fs   = bufs(i)
+      val cs   = counts(i)
+      val ord  = order(i)
+      val live = lives(i)
       var v = 0
       while (v < c) {
-        cs(v) = idx.andInto(filter, i, v, fs(v), live, liveN)
+        cs(v) = idx.andInto(filter, i, v, fs(v), live, n)
         v += 1
       }
       sortByCountDesc(ord, cs)
@@ -108,11 +265,13 @@ object GreedyHitter {
       while (k < c && cs(ord(k)) > bestCount) {
         val v = ord(k)
         prefix(i) = v
-        if (i == d - 1) {
-          nodes += 1
-          bestCount = cs(v)
-          System.arraycopy(prefix, 0, best, 0, d)
-        } else descend(fs(v), i + 1)
+        if (leaves == null || leaves.reaches(prefix, i + 1, bestCount + 1)) {
+          if (i == d - 1) {
+            nodes += 1
+            bestCount = cs(v)
+            System.arraycopy(prefix, 0, best, 0, d)
+          } else descend(fs(v), i + 1, idx.liveWords(fs(v), live, n, lives(i + 1)))
+        }
         k += 1
       }
     }

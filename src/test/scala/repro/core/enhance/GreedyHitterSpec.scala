@@ -92,7 +92,8 @@ class GreedyHitterSpec extends AnyFunSuite {
 
   // One registered test per randomized pattern set: GREEDY must make a
   // provably-maximal pick every round and agree with the naïve greedy pick
-  // for pick (both take the first maximum in the same tree-visit order).
+  // for pick (both take the first maximum in the same tree-visit order),
+  // with the leaf-count bound and with every round at incumbent 0.
   // Mixed cardinalities up to 5 to exercise wide tree fanout.
   {
     val rnd = new Random(11235L)
@@ -102,9 +103,11 @@ class GreedyHitterSpec extends AnyFunSuite {
       val all   = repro.core.Pattern.allPatterns(cards).toVector
       val pats  = Vector.fill(1 + rnd.nextInt(12))(all(rnd.nextInt(all.size))).distinct
       test(s"greedy-vs-naive trial $trial: cards=$cards patterns=${pats.size}") {
-        val fast = GreedyHitter.run(pats, cards)
-        val slow = NaiveHitter.run(pats, cards)
+        val fast  = GreedyHitter.run(pats, cards)
+        val slow  = NaiveHitter.run(pats, cards)
+        val plain = GreedyHitter.run(pats, cards, leafBudget = 0L)
         assert(fast.combos == slow.combos, s"pats=$pats")
+        assert(plain.combos == fast.combos && plain.nodesExplored >= fast.nodesExplored)
         // every pattern hit by both
         for (p <- pats) {
           assert(fast.combos.exists(p.matches), s"fast missed $p")
@@ -129,11 +132,15 @@ class GreedyHitterSpec extends AnyFunSuite {
   // many rounds have several maximal combinations, so the pick-for-pick
   // agreement with the naïve greedy checks the tie-break too. Every pick is
   // also checked to be maximal, and the round count and tree nodes are
-  // pinned.
+  // pinned: with the leaf-count bound, which walks one root-to-leaf path of
+  // d + 1 = 8 nodes per round, and with every round at incumbent 0 (the walk
+  // without the bound). GREEDY indexes the patterns in its own (codec)
+  // order, so reversing or shuffling them changes neither picks nor nodes.
   {
     val rnd = new Random(64064L)
-    val pinned = Seq((200, 45, 9952L), (450, 77, 18111L), (800, 104, 24973L), (1500, 169, 48535L))
-    for (((size, rounds, nodes), trial) <- pinned.zipWithIndex) {
+    val pinned = Seq((200, 45, 360L, 9952L), (450, 77, 616L, 18111L), (800, 104, 832L, 24973L),
+                     (1500, 169, 1352L, 48535L))
+    for (((size, rounds, nodes, plainNodes), trial) <- pinned.zipWithIndex) {
       val cards = Vector(2, 4, 3, 2, 5, 2, 3).map(c => c + (if (rnd.nextInt(3) == 0) 1 else 0))
       val pats = {
         val seen = scala.collection.mutable.LinkedHashSet.empty[Pattern]
@@ -146,6 +153,12 @@ class GreedyHitterSpec extends AnyFunSuite {
         val fast = GreedyHitter.run(pats, cards)
         assert(fast.combos.size == rounds && fast.nodesExplored == nodes)
         assert(fast.combos == NaiveHitter.run(pats, cards).combos)
+        val plain = GreedyHitter.run(pats, cards, leafBudget = 0L)
+        assert(plain.combos == fast.combos && plain.nodesExplored == plainNodes)
+        for (perm <- Seq(pats.reverse, new Random(trial).shuffle(pats))) {
+          val res = GreedyHitter.run(perm, cards)
+          assert(res.combos == fast.combos && res.nodesExplored == fast.nodesExplored)
+        }
         var remaining = pats.indices.toVector
         var wordDied  = false
         def liveWords(ids: Seq[Int]) = ids.map(_ >>> 6).toSet

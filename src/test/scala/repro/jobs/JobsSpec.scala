@@ -114,7 +114,10 @@ class JobsSpec extends SparkSpec {
            "lambda=-1"         -> "lambda=-1 must not be negative",
            "maxLevel=-1"       -> "maxLevel=-1 must not be negative",
            "d=0"               -> "d=0 must be in 1..64",
-           "d=65"              -> "d=65 must be in 1..64")) {
+           "d=65"              -> "d=65 must be in 1..64",
+           "n=1e5"             -> "n=1e5 must be an integer",
+           "lambda=two"        -> "lambda=two must be an integer",
+           "tauRate="          -> "tauRate= must be a number")) {
       val e = intercept[IllegalArgumentException] {
         CoverageJob.main(Array("dataset=airbnb", "n=2000", "d=6", bad))
       }
