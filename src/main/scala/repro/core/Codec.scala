@@ -11,9 +11,8 @@ package repro.core
   * lexicographic order of the elements (with `X` after every value).
   *
   * Sizes come from [[Pattern.nodeCount]]'s checked product: a domain whose
-  * pattern space exceeds `Long.MaxValue` is refused by message, never wrapped
-  * ([[Codec.fitting]] asks first). The combo space is no larger, so it fits
-  * too.
+  * pattern space exceeds `Long.MaxValue` is refused by message, never wrapped.
+  * The combo space is no larger, so it fits too.
   */
 final class Codec(val cards: IndexedSeq[Int]) {
   require(cards.forall(_ >= 1), s"cardinalities must be at least 1: $cards")
@@ -107,12 +106,4 @@ final class Codec(val cards: IndexedSeq[Int]) {
 
   /** The pattern with id `id`. */
   def pattern(id: Long): Pattern = Pattern(patternInto(id, new Array[Int](dim)).toVector)
-}
-
-object Codec {
-  /** The codec over `cards`, or `None` when `Π (c_i + 1)` exceeds
-    * `Long.MaxValue`.
-    */
-  def fitting(cards: IndexedSeq[Int]): Option[Codec] =
-    if (cards.map(c => BigInt(c) + 1).product.isValidLong) Some(new Codec(cards)) else None
 }

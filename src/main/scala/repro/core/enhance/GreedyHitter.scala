@@ -29,20 +29,21 @@ import repro.core.{Codec, Pattern}
   * Above the budget a round starts at incumbent 0 and prunes by the filter
   * bounds alone.
   *
-  * The patterns are indexed in codec order (lexicographic, `X` after every
-  * value), so patterns that agree on a prefix share filter words and a tree
-  * node's filter is non-zero in few words. One search serves every round of a
-  * run. It owns one child-filter buffer per (depth, value), allocated once,
-  * and each node on the path keeps the list of its filter's non-zero words:
-  * a child's filter is a subset of its parent's, so its children AND only
-  * those words.
+  * One search serves every round of a run. It owns one child-filter buffer
+  * per (depth, value), allocated once, and a round touches only the words
+  * that are non-zero in that round's filter: every node's filter is a subset
+  * of the round filter, so the other words are zero throughout the round.
   */
 object GreedyHitter {
 
   /** Result: combinations to collect plus work counters for the benches. */
   final case class Result(combos: Vector[Vector[Int]], nodesExplored: Long)
 
-  /** The largest `Π c_i` for which a run keeps the leaf-count bound (4 MB). */
+  /** The largest `Π c_i` for which a run keeps the leaf-count bound: a 4 MB
+    * cap on the counts, not a crossover. Under it the bound costs the sum of
+    * every pattern's combination count, which is the larger cost for a few
+    * general patterns and the smaller for many specific ones.
+    */
   private val LeafBudget = 1L << 20
 
   /** The most ids, `Π (c_i + 1)`, of the leaf counts' low block. */
@@ -59,14 +60,8 @@ object GreedyHitter {
   /** [[run]] with the leaf-count bound kept only while `Π c_i <= leafBudget`. */
   private[enhance] def run(patterns: IndexedSeq[Pattern], cards: IndexedSeq[Int], leafBudget: Long): Result = {
     if (patterns.isEmpty) return Result(Vector.empty, 0L)
-    // Past a Long pattern space there are no codec ids: the input order stays
-    // and every round starts at incumbent 0.
-    val codec   = Codec.fitting(cards)
-    val ids     = codec.fold(Array.emptyLongArray)(sortedIds(patterns, _))
-    val ordered = codec.fold(patterns)(c => ids.iterator.map(c.pattern).toVector)
-    val leaves  = codec.filter(_.comboCount <= leafBudget).map(new LeafCounts(_, ids))
-
-    val idx    = new PatternHitIndex(ordered, cards)
+    val idx    = new PatternHitIndex(patterns, cards)
+    val leaves = leafCodec(cards, leafBudget).map(new LeafCounts(_, patterns))
     val filter = idx.fullFilter
     val search = new HitCountSearch(idx, cards, leaves.orNull)
     val out    = Vector.newBuilder[Vector[Int]]
@@ -86,16 +81,17 @@ object GreedyHitter {
     Result(out.result(), search.nodes)
   }
 
-  /** The patterns' codec ids, ascending. */
-  private def sortedIds(patterns: IndexedSeq[Pattern], codec: Codec): Array[Long] = {
-    val ids = patterns.iterator.map(p => codec.patternId(p.elems)).toArray
-    java.util.Arrays.sort(ids)
-    ids
-  }
+  /** The codec of the leaf counts: `None` when `Π c_i` exceeds `leafBudget`
+    * or the pattern space `Π (c_i + 1)` exceeds `Long.MaxValue` (possible
+    * under the budget only with many attributes of cardinality 1).
+    */
+  private def leafCodec(cards: IndexedSeq[Int], leafBudget: Long): Option[Codec] =
+    try Some(new Codec(cards)).filter(_.comboCount <= leafBudget)
+    catch { case _: IllegalArgumentException => None }
 
   /** The unhit patterns matching each value combination, by combo id: the
-    * naive greedy's hit counts (§IV-A), kept incrementally. `ids(j)` is the
-    * codec id of pattern `j` of the hit index.
+    * naive greedy's hit counts (§IV-A), kept incrementally. `patterns(j)` is
+    * pattern `j` of the hit index.
     *
     * A pattern's combinations are its base id plus every sum of
     * `v · stride(i)` over its X attributes. The trailing attributes whose
@@ -104,12 +100,18 @@ object GreedyHitter {
     * combinations are a walk over its other X attributes with one table loop
     * at each step.
     */
-  private final class LeafCounts(codec: Codec, ids: Array[Long]) {
+  private final class LeafCounts(codec: Codec, patterns: IndexedSeq[Pattern]) {
     private val d      = codec.dim
-    private val elems  = new Array[Int](d)
     private val card   = codec.cards.toArray
     private val stride = Array.tabulate(d)(i => codec.comboStride(i).toInt)
     private val cells  = new Array[Int](codec.comboCount.toInt)
+    /** elems(j * d + i): element `i` of pattern `j` of the hit index. */
+    private val elems  = {
+      val out = new Array[Int](patterns.length * d)
+      var j = 0
+      patterns.foreach { p => p.elems.copyToArray(out, j * d); j += 1 }
+      out
+    }
     /** The low block is attributes `low until d`. */
     private val low    = {
       var i = d
@@ -122,7 +124,7 @@ object GreedyHitter {
     /** The X attributes before the low block of the pattern being added. */
     private val xs     = new Array[Int](d)
 
-    ids.foreach(add(_, 1))
+    patterns.indices.foreach(add(_, 1))
 
     /** The most unhit patterns one combination matches. */
     def max: Int = {
@@ -133,8 +135,8 @@ object GreedyHitter {
     }
 
     /** Whether some combination that starts with `prefix(0 until len)`
-      * matches at least `m` unhit patterns. In codec order those
-      * combinations are one range of ids.
+      * matches at least `m` unhit patterns. Those combinations are one range
+      * of combo ids.
       */
     def reaches(prefix: Array[Int], len: Int, m: Int): Boolean = {
       var lo = 0
@@ -152,22 +154,23 @@ object GreedyHitter {
       while (w < hit.length) {
         var b = hit(w)
         while (b != 0L) {
-          add(ids((w << 6) + java.lang.Long.numberOfTrailingZeros(b)), -1)
+          add((w << 6) + java.lang.Long.numberOfTrailingZeros(b), -1)
           b &= b - 1
         }
         w += 1
       }
     }
 
-    /** Add `delta` to every combination the pattern with codec id `id` matches. */
-    private def add(id: Long, delta: Int): Unit = {
-      codec.patternInto(id, elems)
+    /** Add `delta` to every combination pattern `j` matches. */
+    private def add(j: Int, delta: Int): Unit = {
+      val at   = j * d
       var base = 0
       var nx   = 0
       var set  = 0
       var i    = 0
       while (i < d) {
-        if (elems(i) != Pattern.X) base += elems(i) * stride(i)
+        val e = elems(at + i)
+        if (e != Pattern.X) base += e * stride(i)
         else if (i >= low) set |= 1 << (i - low)
         else { xs(nx) = i; nx += 1 }
         i += 1
@@ -213,11 +216,8 @@ object GreedyHitter {
     private val bufs   = Array.tabulate(d)(i => Array.fill(cards(i))(new Array[Long](idx.words)))
     private val counts = Array.tabulate(d)(i => new Array[Int](cards(i)))
     private val order  = Array.tabulate(d)(i => new Array[Int](cards(i)))
-    /** lives(i): the non-zero words of the filter of the depth-i node on the
-      * current path; only those words of that filter are valid.
-      */
-    private val lives  = Array.fill(d + 1)(new Array[Int](idx.words))
-    private val all    = Array.range(0, idx.words)
+    private val live   = new Array[Int](idx.words)
+    private var liveN  = 0
 
     private val prefix    = new Array[Int](d)
     private val best      = new Array[Int](d)
@@ -231,13 +231,13 @@ object GreedyHitter {
       * visit order). Returns `floor` when no combination beats it.
       */
     def best(filter: Array[Long], floor: Int): Int = {
+      liveN = idx.liveWords(filter, live)
       bestCount = floor
-      descend(filter, 0, idx.liveWords(filter, all, idx.words, lives(0)))
+      descend(filter, 0)
       bestCount
     }
 
-    /** Visit the depth-`i` node with `filter`, non-zero in the `n` words `lives(i)`. */
-    private def descend(filter: Array[Long], i: Int, n: Int): Unit = {
+    private def descend(filter: Array[Long], i: Int): Unit = {
       nodes += 1
       if (i == d) {
         val cnt = idx.popcount(filter)
@@ -245,14 +245,13 @@ object GreedyHitter {
         return
       }
       // Compute each child's filter and upper bound, then visit descending.
-      val c    = cards(i)
-      val fs   = bufs(i)
-      val cs   = counts(i)
-      val ord  = order(i)
-      val live = lives(i)
+      val c  = cards(i)
+      val fs = bufs(i)
+      val cs = counts(i)
+      val ord = order(i)
       var v = 0
       while (v < c) {
-        cs(v) = idx.andInto(filter, i, v, fs(v), live, n)
+        cs(v) = idx.andInto(filter, i, v, fs(v), live, liveN)
         v += 1
       }
       sortByCountDesc(ord, cs)
@@ -270,7 +269,7 @@ object GreedyHitter {
             nodes += 1
             bestCount = cs(v)
             System.arraycopy(prefix, 0, best, 0, d)
-          } else descend(fs(v), i + 1, idx.liveWords(fs(v), live, n, lives(i + 1)))
+          } else descend(fs(v), i + 1)
         }
         k += 1
       }

@@ -22,19 +22,17 @@ final class PatternHitIndex(val patterns: IndexedSeq[Pattern], val cards: Indexe
   /** A filter with every pattern still unhit. */
   def fullFilter: Array[Long] = bits.allInto(new Array[Long](words))
 
-  /** Write the words among `among(0 until n)` where `filter` is non-zero, in
-    * order, to the front of `live`; returns how many there are.
+  /** Write the indices of the non-zero words of `filter` to the front of
+    * `live`; returns how many there are.
     */
-  def liveWords(filter: Array[Long], among: Array[Int], n: Int, live: Array[Int]): Int = {
-    var out = 0
-    var k = 0
-    while (k < n) {
-      val w = among(k)
-      live(out) = w
-      if (filter(w) != 0L) out += 1
-      k += 1
+  def liveWords(filter: Array[Long], live: Array[Int]): Int = {
+    var n = 0
+    var w = 0
+    while (w < words) {
+      if (filter(w) != 0L) { live(n) = w; n += 1 }
+      w += 1
     }
-    out
+    n
   }
 
   /** dst = a AND index(i)(v) on the words `live(0 until n)`; returns the

@@ -52,11 +52,9 @@ class CodecSpec extends AnyFunSuite {
     // 3^39 < Long.MaxValue < 3^40
     val fits = Vector.fill(39)(2)
     assert(new Codec(fits).patternCount == BigInt(3).pow(39).toLong)
-    assert(Codec.fitting(fits).isDefined)
     val over = Vector.fill(40)(2)
     val e = intercept[IllegalArgumentException](new Codec(over))
     assert(e.getMessage.contains("exceeds Long.MaxValue"), e.getMessage)
-    assert(Codec.fitting(over).isEmpty)
   }
 
   test("out-of-range values, ids and dimensions are rejected") {

@@ -134,8 +134,9 @@ class GreedyHitterSpec extends AnyFunSuite {
   // also checked to be maximal, and the round count and tree nodes are
   // pinned: with the leaf-count bound, which walks one root-to-leaf path of
   // d + 1 = 8 nodes per round, and with every round at incumbent 0 (the walk
-  // without the bound). GREEDY indexes the patterns in its own (codec)
-  // order, so reversing or shuffling them changes neither picks nor nodes.
+  // without the bound). Every bound is a popcount or a leaf count, neither of
+  // which depends on where a pattern sits in the index, so reversing or
+  // shuffling the patterns changes neither picks nor nodes.
   {
     val rnd = new Random(64064L)
     val pinned = Seq((200, 45, 360L, 9952L), (450, 77, 616L, 18111L), (800, 104, 832L, 24973L),
@@ -187,6 +188,18 @@ class GreedyHitterSpec extends AnyFunSuite {
       val pats  = Vector.fill(8)(all(rnd.nextInt(all.size))).distinct
       assert(GreedyHitter.run(pats, cards).combos.size <= pats.size)
     }
+  }
+
+  test("a pattern space past Long.MaxValue runs without the leaf counts and picks as the naïve greedy") {
+    // 62 constant attributes: Π c_i = 9 fits the leaf budget, but
+    // Π (c_i + 1) = 2^62 · 16 has no codec.
+    val cards = Vector.fill(62)(1) ++ Vector(3, 3)
+    intercept[IllegalArgumentException](new repro.core.Codec(cards))
+    val pats = Vector("1X", "X2", "00", "X0").map(s => Pattern(Vector.fill(62)(Pattern.X) ++ Pattern.parse(s).elems))
+    val res  = GreedyHitter.run(pats, cards)
+    assert(res.combos == NaiveHitter.run(pats, cards).combos)
+    assert(res == GreedyHitter.run(pats, cards, leafBudget = 0L))
+    for (p <- pats) assert(res.combos.exists(p.matches), s"$p unhit")
   }
 
   // --------------------------------------------------------- end-to-end
