@@ -99,7 +99,7 @@ object CoverageJob {
     */
   private def withSpark(body: SparkSession => Unit): Unit = {
     val preExisting = SparkSession.getActiveSession.orElse(SparkSession.getDefaultSession)
-    val spark = preExisting.getOrElse(SparkSession.builder.appName("coverage").getOrCreate())
+    val spark = preExisting.getOrElse(SparkSession.builder().appName("coverage").getOrCreate())
     try body(spark)
     finally if (preExisting.isEmpty) spark.stop()
   }

@@ -146,6 +146,21 @@ object Pattern {
   def nodeCount(cards: IndexedSeq[Int]): Long =
     cards.foldLeft(1L)((a, c) => Math.multiplyExact(a, c + 1L))
 
+  /** Whether the combination count `Π c_i` is at most `limit`. The product
+    * stops at the first attribute that takes it past `limit`, so it never
+    * overflows.
+    */
+  def combosWithin(cards: IndexedSeq[Int], limit: Long): Boolean = {
+    var p = 1L
+    var i = 0
+    while (i < cards.length) {
+      if (p > 0 && cards(i) > limit / p) return false
+      p *= cards(i)
+      i += 1
+    }
+    p <= limit
+  }
+
   /** Enumerate every fully-specified value combination for `cards`
     * (lexicographic). Size is `Π c_i` — callers must keep this small.
     */

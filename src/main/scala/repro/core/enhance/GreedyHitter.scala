@@ -1,6 +1,6 @@
 package repro.core.enhance
 
-import repro.core.{Codec, Pattern}
+import repro.core.Pattern
 
 /** The efficient greedy hitting-set of paper §IV-B (Algorithms 4 and 5).
   *
@@ -17,17 +17,17 @@ import repro.core.{Codec, Pattern}
   *
   * Each round starts knowing its answer. While the combo space `Π c_i` fits a
   * fixed leaf budget, GREEDY keeps the naive greedy's per-combination hit
-  * counts as one dense array indexed by [[Codec]] combo id: filled once (each
-  * pattern adds 1 to every combination it matches) and, each round, lowered by
-  * the patterns the pick hit. Its maximum M is the round's best count, so the
-  * search starts with incumbent M − 1 and stops at the first leaf that reaches
-  * M. Subtrees whose bound is below M hold no maximum, so that leaf is the
-  * first maximum in visit order and the pick is the same as without the
-  * bound. A subtree's combinations are one range of combo ids, so a child is
-  * also skipped when no count in its range reaches M: the first child entered
-  * holds the round's first maximum, and a round walks one root-to-leaf path.
-  * Above the budget a round starts at incumbent 0 and prunes by the filter
-  * bounds alone.
+  * counts as one dense array in lexicographic combination order: filled once
+  * (each pattern adds 1 to every combination it matches) and, each round,
+  * lowered by the patterns the pick hit. Its maximum M is the round's best
+  * count, so the search starts with incumbent M − 1 and stops at the first
+  * leaf that reaches M. Subtrees whose bound is below M hold no maximum, so
+  * that leaf is the first maximum in visit order and the pick is the same as
+  * without the bound. A subtree's combinations are one range of cells, so a
+  * child is also skipped when no count in its range reaches M: the first
+  * child entered holds the round's first maximum, and a round walks one
+  * root-to-leaf path. Above the budget a round starts at incumbent 0 and
+  * prunes by the filter bounds alone.
   *
   * One search serves every round of a run. It owns one child-filter buffer
   * per (depth, value), allocated once, and a round touches only the words
@@ -46,7 +46,7 @@ object GreedyHitter {
     */
   private val LeafBudget = 1L << 20
 
-  /** The most ids, `Π (c_i + 1)`, of the leaf counts' low block. */
+  /** The largest `Π (c_i + 1)` over the leaf counts' low block. */
   private val LowCells = 1 << 16
 
   /** Run GREEDY over the patterns to hit. Returns the chosen combinations in
@@ -59,15 +59,20 @@ object GreedyHitter {
 
   /** [[run]] with the leaf-count bound kept only while `Π c_i <= leafBudget`. */
   private[enhance] def run(patterns: IndexedSeq[Pattern], cards: IndexedSeq[Int], leafBudget: Long): Result = {
+    for (i <- cards.indices)
+      require(cards(i) >= 1, s"attribute $i has cardinality ${cards(i)}; every cardinality must be at least 1")
     if (patterns.isEmpty) return Result(Vector.empty, 0L)
     val idx    = new PatternHitIndex(patterns, cards)
-    val leaves = leafCodec(cards, leafBudget).map(new LeafCounts(_, patterns))
+    val leaves = Option.when(Pattern.combosWithin(cards, leafBudget))(new LeafCounts(cards.toArray, patterns))
     val filter = idx.fullFilter
     val search = new HitCountSearch(idx, cards, leaves.orNull)
     val out    = Vector.newBuilder[Vector[Int]]
+    // The round's maximum M. Cells only decrease, so no cell exceeds the
+    // last round's M.
+    var m = patterns.length
 
     while (idx.popcount(filter) > 0) {
-      val floor = leaves.fold(0)(_.max - 1)
+      val floor = leaves.fold(0) { l => m = l.max(m); m - 1 }
       val count = search.best(filter, floor)
       require(count > floor, s"no combination hits more than $floor remaining patterns")
       val combo = search.bestCombo
@@ -81,30 +86,24 @@ object GreedyHitter {
     Result(out.result(), search.nodes)
   }
 
-  /** The codec of the leaf counts: `None` when `Π c_i` exceeds `leafBudget`
-    * or the pattern space `Π (c_i + 1)` exceeds `Long.MaxValue` (possible
-    * under the budget only with many attributes of cardinality 1).
-    */
-  private def leafCodec(cards: IndexedSeq[Int], leafBudget: Long): Option[Codec] =
-    try Some(new Codec(cards)).filter(_.comboCount <= leafBudget)
-    catch { case _: IllegalArgumentException => None }
-
-  /** The unhit patterns matching each value combination, by combo id: the
-    * naive greedy's hit counts (§IV-A), kept incrementally. `patterns(j)` is
-    * pattern `j` of the hit index.
+  /** The unhit patterns matching each value combination: the naive greedy's
+    * hit counts (§IV-A), kept incrementally. A combination's cell is
+    * `Σ v_i · stride(i)`, with attribute 0 the most significant digit, so
+    * cells are in lexicographic combination order. `patterns(j)` is pattern
+    * `j` of the hit index. The caller keeps `Π c_i` within an `Int`.
     *
-    * A pattern's combinations are its base id plus every sum of
+    * A pattern's combinations are its base cell plus every sum of
     * `v · stride(i)` over its X attributes. The trailing attributes whose
     * `Π (c_i + 1)` fits [[LowCells]] form a low block: each X set within it
     * has one table of those sums, built on first use, so a pattern's
     * combinations are a walk over its other X attributes with one table loop
     * at each step.
     */
-  private final class LeafCounts(codec: Codec, patterns: IndexedSeq[Pattern]) {
-    private val d      = codec.dim
-    private val card   = codec.cards.toArray
-    private val stride = Array.tabulate(d)(i => codec.comboStride(i).toInt)
-    private val cells  = new Array[Int](codec.comboCount.toInt)
+  private final class LeafCounts(card: Array[Int], patterns: IndexedSeq[Pattern]) {
+    private val d      = card.length
+    private val suffix = card.scanRight(1)(_ * _)
+    private val stride = suffix.tail
+    private val cells  = new Array[Int](suffix(0))
     /** elems(j * d + i): element `i` of pattern `j` of the hit index. */
     private val elems  = {
       val out = new Array[Int](patterns.length * d)
@@ -126,17 +125,20 @@ object GreedyHitter {
 
     patterns.indices.foreach(add(_, 1))
 
-    /** The most unhit patterns one combination matches. */
-    def max: Int = {
+    /** The most unhit patterns one combination matches, given that no cell
+      * holds more than `upper`: the scan stops at the first cell that holds
+      * `upper`.
+      */
+    def max(upper: Int): Int = {
       var m = 0
       var k = 0
-      while (k < cells.length) { if (cells(k) > m) m = cells(k); k += 1 }
+      while (k < cells.length && m < upper) { if (cells(k) > m) m = cells(k); k += 1 }
       m
     }
 
     /** Whether some combination that starts with `prefix(0 until len)`
       * matches at least `m` unhit patterns. Those combinations are one range
-      * of combo ids.
+      * of cells.
       */
     def reaches(prefix: Array[Int], len: Int, m: Int): Boolean = {
       var lo = 0

@@ -26,9 +26,18 @@ import scala.collection.mutable
 object PatternCombiner extends MupAlgorithm {
   val name = "PatternCombiner"
 
+  /** The most value combinations the level-`d` enumeration visits; a larger
+    * domain is refused before it starts. A memory cap on the level-`d` map,
+    * which holds every uncovered combination.
+    */
+  private val MaxCombos = 1L << 22
+
   def findMups(data: CompressedData, tau: Long, maxLevel: Int = Int.MaxValue): MupResult = {
     val cards = data.cards
     val d     = data.dim
+    require(Pattern.combosWithin(cards, MaxCombos),
+      s"PatternCombiner enumerates all Π c_i = ${cards.map(BigInt(_)).product} value combinations of " +
+        s"cards ${cards.mkString("[", ",", "]")}, more than its cap of $MaxCombos")
     var visited  = 0L
     var covCalls = 0L
 

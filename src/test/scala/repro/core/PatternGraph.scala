@@ -1,8 +1,8 @@
 package repro.core
 
 /** Combinatorics of the pattern graph (paper §III-B, Definition 8), checked
-  * against enumeration by `PatternGraphSpec`; the total node count the
-  * pipeline needs is [[Pattern.nodeCount]].
+  * against enumeration by `PatternGraphSpec`; the total node count over all
+  * levels is [[Pattern.nodeCount]].
   *
   * The counts are exact: for cardinalities >= 1, each throws
   * `ArithmeticException` when its answer exceeds `Long.MaxValue`.

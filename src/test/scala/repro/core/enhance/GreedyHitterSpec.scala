@@ -190,16 +190,22 @@ class GreedyHitterSpec extends AnyFunSuite {
     }
   }
 
-  test("a pattern space past Long.MaxValue runs without the leaf counts and picks as the naïve greedy") {
-    // 62 constant attributes: Π c_i = 9 fits the leaf budget, but
-    // Π (c_i + 1) = 2^62 · 16 has no codec.
+  test("a pattern space past Long.MaxValue runs with the leaf counts and picks as the naïve greedy") {
+    // 62 constant attributes: Π (c_i + 1) = 2^62 · 16 passes Long.MaxValue,
+    // but Π c_i = 9 fits the leaf budget, so each round walks one
+    // root-to-leaf path of d + 1 = 65 nodes.
     val cards = Vector.fill(62)(1) ++ Vector(3, 3)
-    intercept[IllegalArgumentException](new repro.core.Codec(cards))
     val pats = Vector("1X", "X2", "00", "X0").map(s => Pattern(Vector.fill(62)(Pattern.X) ++ Pattern.parse(s).elems))
     val res  = GreedyHitter.run(pats, cards)
     assert(res.combos == NaiveHitter.run(pats, cards).combos)
-    assert(res == GreedyHitter.run(pats, cards, leafBudget = 0L))
+    assert(res.combos == GreedyHitter.run(pats, cards, leafBudget = 0L).combos)
+    assert(res.combos.size == 2 && res.nodesExplored == 65L * 2)
     for (p <- pats) assert(res.combos.exists(p.matches), s"$p unhit")
+  }
+
+  test("a cardinality below 1 is rejected by message naming the attribute") {
+    val e = intercept[IllegalArgumentException](GreedyHitter.run(Vector(Pattern.parse("0X")), Vector(2, 0)))
+    assert(e.getMessage.contains("attribute 1 has cardinality 0"), e.getMessage)
   }
 
   // --------------------------------------------------------- end-to-end

@@ -130,6 +130,12 @@ class MupAlgorithmsSpec extends AnyFunSuite {
     for (algo <- algorithms) assert(algo.findMups(data, 2).mups.isEmpty, algo.name)
   }
 
+  test("PatternCombiner refuses a domain too large to enumerate, naming Π c_i") {
+    val data = dataOf(Seq(Vector.fill(40)(0)), Vector.fill(40)(2))
+    val e = intercept[IllegalArgumentException](PatternCombiner.findMups(data, 1))
+    assert(e.getMessage.contains(s"Π c_i = ${1L << 40}"), e.getMessage)
+  }
+
   test("τ=0: nothing is uncovered") {
     val data = dataOf(Seq(Vector(0, 0)), Vector(2, 2))
     for (algo <- algorithms) assert(algo.findMups(data, 0).mups.isEmpty, algo.name)
