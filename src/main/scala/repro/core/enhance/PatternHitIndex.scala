@@ -8,9 +8,7 @@ import repro.core.{Pattern, PatternBits}
   * `A_i` can still hit pattern `j`. These are the `hit` vectors of a
   * [[PatternBits]] over the patterns.
   */
-final class PatternHitIndex(val patterns: IndexedSeq[Pattern], val cards: IndexedSeq[Int]) {
-  val m: Int = patterns.length
-
+final class PatternHitIndex(patterns: IndexedSeq[Pattern], cards: IndexedSeq[Int]) {
   private val bits = new PatternBits(cards)
   patterns.foreach(p => bits.add(p.elems))
 

@@ -26,6 +26,7 @@ object DeepDiver extends MupAlgorithm {
   val name = "DeepDiver"
 
   def findMups(data: CompressedData, tau: Long, maxLevel: Int = Int.MaxValue): MupResult = {
+    require(tau >= 1, s"τ must be at least 1, got $tau: at τ <= 0 every pattern is covered")
     val index = new InvertedIndex(data)
     val cap   = math.min(data.dim, maxLevel)
     val dom   = new MupDominanceIndex(data.cards)

@@ -23,6 +23,7 @@ object PatternBreaker extends MupAlgorithm {
   val name = "PatternBreaker"
 
   def findMups(data: CompressedData, tau: Long, maxLevel: Int = Int.MaxValue): MupResult = {
+    require(tau >= 1, s"τ must be at least 1, got $tau: at τ <= 0 every pattern is covered")
     val index  = new InvertedIndex(data)
     val cards  = data.cards
     val d      = data.dim
@@ -39,8 +40,7 @@ object PatternBreaker extends MupAlgorithm {
         visited += 1
         // A MUP's parents must all be covered; any parent missing from the
         // covered set means an uncovered ancestor dominates p — prune.
-        val parentsOk = level == 0 || p.parents.forall(coveredPrev.contains)
-        if (parentsOk) {
+        if (p.parents.forall(coveredPrev.contains)) {
           if (!index.covers(p, tau)) mups += p
           else coveredHere += p
         }

@@ -33,13 +33,13 @@ object PatternCombiner extends MupAlgorithm {
   private val MaxCombos = 1L << 22
 
   def findMups(data: CompressedData, tau: Long, maxLevel: Int = Int.MaxValue): MupResult = {
+    require(tau >= 1, s"τ must be at least 1, got $tau: at τ <= 0 every pattern is covered")
     val cards = data.cards
     val d     = data.dim
     require(Pattern.combosWithin(cards, MaxCombos),
       s"PatternCombiner enumerates all Π c_i = ${cards.map(BigInt(_)).product} value combinations of " +
         s"cards ${cards.mkString("[", ",", "]")}, more than its cap of $MaxCombos")
-    var visited  = 0L
-    var covCalls = 0L
+    var visited = 0L // one cov computation per visited node
 
     // Level-d base: counts of present combos; every absent combo has count 0.
     val present = mutable.HashMap.empty[Pattern, Long]
@@ -51,7 +51,7 @@ object PatternCombiner extends MupAlgorithm {
     var level   = d
     var current = mutable.HashMap.empty[Pattern, Long] // uncovered at `level`
     Pattern.allCombos(cards).foreach { combo =>
-      visited += 1; covCalls += 1
+      visited += 1
       val p   = Pattern(combo)
       val cnt = present.getOrElse(p, 0L)
       if (cnt < tau) current(p) = cnt
@@ -62,7 +62,7 @@ object PatternCombiner extends MupAlgorithm {
       val parentLevel = mutable.HashMap.empty[Pattern, Long]
       if (level > 0) {
         for ((p, _) <- current; parent <- p.parentsRule2 if !parentLevel.contains(parent)) {
-          visited += 1; covCalls += 1
+          visited += 1
           // Children of `parent` that partition it on its right-most X.
           val i = parent.rightmostX
           var sum = 0L
@@ -81,6 +81,6 @@ object PatternCombiner extends MupAlgorithm {
       current = parentLevel
       level -= 1
     }
-    MupResult(mups.toSet, visited, covCalls)
+    MupResult(mups.toSet, visited, visited)
   }
 }

@@ -12,7 +12,7 @@ class LevelExpansionSpec extends AnyFunSuite {
 
   test("Appendix C worked example: subset patterns of P1=XX01X at level 3") {
     val p1 = Pattern.parse("XX01X")
-    val got = LevelExpansion.descendantsAtLevel(p1, ex2Cards, 3).toSet
+    val got = LevelExpansion.uncoveredAtLevel(Seq(p1), ex2Cards, 3)
     val expected = Set("0X01X", "1X01X", "X001X", "X101X", "X201X", "XX010", "XX011")
       .map(Pattern.parse)
     assert(got == expected)
@@ -20,19 +20,13 @@ class LevelExpansionSpec extends AnyFunSuite {
 
   test("descendants at the pattern's own level is the pattern itself") {
     val p = Pattern.parse("X1X0")
-    assert(LevelExpansion.descendantsAtLevel(p, Vector(2, 2, 2, 2), 2).toSet == Set(p))
+    assert(LevelExpansion.uncoveredAtLevel(Seq(p), Vector(2, 2, 2, 2), 2) == Set(p))
   }
 
   test("descendant counts follow C(#X, k) × Π cards of chosen attrs") {
     val p = Pattern.parse("XXX")
     // level 2 over cards (2,3,2): pairs {A1,A2}:6 {A1,A3}:4 {A2,A3}:6 = 16
-    assert(LevelExpansion.descendantsAtLevel(p, Vector(2, 3, 2), 2).size == 16)
-  }
-
-  test("expansion rejects λ below the MUP level") {
-    intercept[IllegalArgumentException] {
-      LevelExpansion.descendantsAtLevel(Pattern.parse("10X"), Vector(2, 2, 2), 1).toVector
-    }
+    assert(LevelExpansion.uncoveredAtLevel(Seq(p), Vector(2, 3, 2), 2).size == 16)
   }
 
   test("Example 2: M_λ at λ=2 is exactly P1..P6 (P7 at level 3 is excluded)") {
@@ -62,6 +56,23 @@ class LevelExpansionSpec extends AnyFunSuite {
           assert(got == expected, s"lambda=$lambda")
         }
       }
+    }
+  }
+
+  test("expansion-vs-brute-force at d=7: level-1 MUPs fill up to 6 X positions") {
+    // A1 is always 0, so 1XXXXXX is a level-1 MUP; the other values are
+    // skewed towards 0, so the MUPs sit at levels 1 to 6.
+    val rnd   = new Random(707L)
+    val cards = Vector.fill(7)(2 + rnd.nextInt(2))
+    val rows  = Vector.fill(150)(Vector.tabulate(7)(i =>
+      if (i == 0) 0 else math.min(rnd.nextInt(cards(i)), rnd.nextInt(cards(i)))))
+    val data  = CompressedData.fromRows(rows, cards)
+    val index = new InvertedIndex(data)
+    val mups  = repro.core.mup.DeepDiver.findMups(data, 2).mups
+    assert(mups.contains(Pattern.parse("1XXXXXX")))
+    for (lambda <- 0 to 7) {
+      val expected = Pattern.allPatterns(cards).filter(p => p.level == lambda && index.cov(p) < 2).toSet
+      assert(LevelExpansion.uncoveredAtLevel(mups, cards, lambda) == expected, s"lambda=$lambda")
     }
   }
 

@@ -136,9 +136,14 @@ class MupAlgorithmsSpec extends AnyFunSuite {
     assert(e.getMessage.contains(s"Π c_i = ${1L << 40}"), e.getMessage)
   }
 
-  test("τ=0: nothing is uncovered") {
+  test("τ below 1 is refused by message by the three searches") {
+    // At τ <= 0 every pattern is covered, so a search would walk all
+    // Π(c_i + 1) patterns to find no MUP.
     val data = dataOf(Seq(Vector(0, 0)), Vector(2, 2))
-    for (algo <- algorithms) assert(algo.findMups(data, 0).mups.isEmpty, algo.name)
+    for (algo <- Seq(PatternBreaker, PatternCombiner, DeepDiver); tau <- Seq(0L, -1L)) {
+      val e = intercept[IllegalArgumentException](algo.findMups(data, tau))
+      assert(e.getMessage.contains(s"τ must be at least 1, got $tau"), s"${algo.name}: ${e.getMessage}")
+    }
   }
 
   test("single attribute dataset") {

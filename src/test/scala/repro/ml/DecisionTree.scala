@@ -1,5 +1,7 @@
 package repro.ml
 
+import DecisionTree.{Leaf, Node, Split}
+
 /** A CART-style decision tree over categorical features with binary labels —
   * the stand-in for the scikit-learn classifier of paper §V-B2 (Fig 11).
   *
@@ -14,10 +16,6 @@ package repro.ml
   */
 final class DecisionTree(maxDepth: Int = 6, minSamplesSplit: Int = 4,
                          minSamplesLeaf: Int = 1) {
-
-  private sealed trait Node
-  private final case class Leaf(label: Int) extends Node
-  private final case class Split(attr: Int, branches: Map[Int, Node], fallback: Int) extends Node
 
   private var rootOpt: Option[Node] = None
   private var dim = 0
@@ -88,4 +86,10 @@ final class DecisionTree(maxDepth: Int = 6, minSamplesSplit: Int = 4,
       maj,
     )
   }
+}
+
+object DecisionTree {
+  private sealed trait Node
+  private final case class Leaf(label: Int) extends Node
+  private final case class Split(attr: Int, branches: Map[Int, Node], fallback: Int) extends Node
 }
