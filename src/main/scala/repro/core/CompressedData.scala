@@ -7,8 +7,8 @@ package repro.core
   * checks both, so no index ever sees a bad code.
   *
   * This is the only structure the searches touch — the (possibly huge) raw
-  * data is reduced to it by one scan/aggregate pass, which in the Spark layer
-  * is a `groupBy(attrs).count()` (see [[repro.spark.SparkCoverage]]).
+  * data is reduced to it by one scan/aggregate pass in the Spark layer (see
+  * [[repro.spark.SparkCoverage]]).
   */
 final class CompressedData(
     val cards:  IndexedSeq[Int],

@@ -146,6 +146,23 @@ object Pattern {
   def nodeCount(cards: IndexedSeq[Int]): Long =
     cards.foldLeft(1L)((a, c) => Math.multiplyExact(a, c + 1L))
 
+  /** The largest `Π c_i` for which a dense array holds one cell per value
+    * combination: a memory cap (8 MB as `Long` cells, 4 MB as `Int`), not a
+    * crossover. While `combosWithin(cards, DenseCells)`, the L1 scan counts
+    * rows in such an array and GREEDY keeps its leaf counts in one.
+    */
+  final val DenseCells = 1 << 20
+
+  /** The suffix products of `cards`: `s(i) = Π_{j >= i} c_j`, so `s(0)` is
+    * `Π c_i` and `s(i + 1)` is attribute `i`'s stride. A combination's cell
+    * `Σ v_i · s(i + 1)` has attribute 0 as the most significant digit, so
+    * cells are in lexicographic combination order. `Π c_i` must fit an `Int`.
+    */
+  def comboStrides(cards: IndexedSeq[Int]): Array[Int] = {
+    require(combosWithin(cards, Int.MaxValue), s"Π c_i over ${cards.mkString("(", ", ", ")")} exceeds an Int")
+    cards.toArray.scanRight(1)(_ * _)
+  }
+
   /** Whether the combination count `Π c_i` is at most `limit`. The product
     * stops at the first attribute that takes it past `limit`, so it never
     * overflows.

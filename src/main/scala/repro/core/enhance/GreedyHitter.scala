@@ -15,8 +15,8 @@ import repro.core.Pattern
   * cuts a strictly better leaf, so the unpruned walk in the same order (the
   * naive greedy of §IV-A, the tests' reference) picks the same one.
   *
-  * Each round starts knowing its answer. While the combo space `Π c_i` fits a
-  * fixed leaf budget, GREEDY keeps the naive greedy's per-combination hit
+  * Each round starts knowing its answer. While the combo space `Π c_i` fits
+  * `Pattern.DenseCells`, GREEDY keeps the naive greedy's per-combination hit
   * counts as one dense array in lexicographic combination order: filled once
   * (each pattern adds 1 to every combination it matches) and, each round,
   * lowered by the patterns the pick hit. Its maximum M is the round's best
@@ -39,13 +39,6 @@ object GreedyHitter {
   /** Result: combinations to collect plus work counters for the benches. */
   final case class Result(combos: Vector[Vector[Int]], nodesExplored: Long)
 
-  /** The largest `Π c_i` for which a run keeps the leaf-count bound: a 4 MB
-    * cap on the counts, not a crossover. Under it the bound costs the sum of
-    * every pattern's combination count, which is the larger cost for a few
-    * general patterns and the smaller for many specific ones.
-    */
-  private val LeafBudget = 1L << 20
-
   /** The largest `Π (c_i + 1)` over the leaf counts' low block. */
   private val LowCells = 1 << 16
 
@@ -55,7 +48,7 @@ object GreedyHitter {
     * attribute domain).
     */
   def run(patterns: IndexedSeq[Pattern], cards: IndexedSeq[Int]): Result =
-    run(patterns, cards, LeafBudget)
+    run(patterns, cards, Pattern.DenseCells)
 
   /** [[run]] with the leaf-count bound kept only while `Π c_i <= leafBudget`. */
   private[enhance] def run(patterns: IndexedSeq[Pattern], cards: IndexedSeq[Int], leafBudget: Long): Result = {
@@ -63,7 +56,7 @@ object GreedyHitter {
       require(cards(i) >= 1, s"attribute $i has cardinality ${cards(i)}; every cardinality must be at least 1")
     if (patterns.isEmpty) return Result(Vector.empty, 0L)
     val idx    = new PatternHitIndex(patterns, cards)
-    val leaves = Option.when(Pattern.combosWithin(cards, leafBudget))(new LeafCounts(cards.toArray, patterns))
+    val leaves = Option.when(Pattern.combosWithin(cards, leafBudget))(new LeafCounts(cards, patterns))
     val filter = idx.fullFilter
     val search = new HitCountSearch(idx, cards, leaves.orNull)
     val out    = Vector.newBuilder[Vector[Int]]
@@ -99,9 +92,10 @@ object GreedyHitter {
     * combinations are a walk over its other X attributes with one table loop
     * at each step.
     */
-  private final class LeafCounts(card: Array[Int], patterns: IndexedSeq[Pattern]) {
+  private final class LeafCounts(cards: IndexedSeq[Int], patterns: IndexedSeq[Pattern]) {
+    private val card   = cards.toArray
     private val d      = card.length
-    private val suffix = card.scanRight(1)(_ * _)
+    private val suffix = Pattern.comboStrides(cards)
     private val stride = suffix.tail
     private val cells  = new Array[Int](suffix(0))
     /** elems(j * d + i): element `i` of pattern `j` of the hit index. */

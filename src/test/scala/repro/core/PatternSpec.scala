@@ -246,4 +246,14 @@ class PatternSpec extends AnyFunSuite {
     assert(pats.size == 27) // paper: 3^3 = 27 nodes in Fig 2
     assert(pats.distinct.size == 27)
   }
+
+  test("combo strides number the combinations 0 until Π c_i in allCombos order") {
+    val cards   = Vector(3, 2, 4)
+    val strides = Pattern.comboStrides(cards)
+    assert(strides.toSeq == Seq(24, 8, 4, 1))
+    val cells = Pattern.allCombos(cards).map(c => c.indices.map(i => c(i) * strides(i + 1)).sum).toVector
+    assert(cells == (0 until 24))
+    assert(Pattern.comboStrides(Vector.empty).toSeq == Seq(1))
+    intercept[IllegalArgumentException](Pattern.comboStrides(Vector.fill(31)(2) :+ 2))
+  }
 }
