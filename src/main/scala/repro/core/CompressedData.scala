@@ -3,8 +3,9 @@ package repro.core
 /** The aggregated form of a dataset used by every search algorithm
   * (paper Appendix A): the distinct value combinations `combos(k)` with the
   * number of dataset tuples having that combination in `counts(k)`. Every
-  * code must lie in `[0, c_i)` and every count be `>= 0`; the constructor
-  * checks both, so no index ever sees a bad code.
+  * cardinality must be at least 1, every code lie in `[0, c_i)` and every
+  * count be `>= 0`; the constructor checks all three, so no index ever sees
+  * a bad code or an empty attribute domain.
   *
   * This is the only structure the searches touch — the (possibly huge) raw
   * data is reduced to it by one scan/aggregate pass in the Spark layer (see
@@ -15,6 +16,8 @@ final class CompressedData(
     val combos: Array[Array[Int]],
     val counts: Array[Long],
 ) {
+  for (i <- cards.indices)
+    require(cards(i) >= 1, s"attribute $i has cardinality ${cards(i)}; every cardinality must be at least 1")
   require(combos.length == counts.length,
     s"combos (${combos.length}) and counts (${counts.length}) must align")
   for (k <- combos.indices) {

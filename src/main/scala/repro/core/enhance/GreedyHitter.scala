@@ -30,9 +30,7 @@ import repro.core.Pattern
   * prunes by the filter bounds alone.
   *
   * One search serves every round of a run. It owns one child-filter buffer
-  * per (depth, value), allocated once, and a round touches only the words
-  * that are non-zero in that round's filter: every node's filter is a subset
-  * of the round filter, so the other words are zero throughout the round.
+  * per (depth, value), allocated once.
   */
 object GreedyHitter {
 
@@ -212,8 +210,6 @@ object GreedyHitter {
     private val bufs   = Array.tabulate(d)(i => Array.fill(cards(i))(new Array[Long](idx.words)))
     private val counts = Array.tabulate(d)(i => new Array[Int](cards(i)))
     private val order  = Array.tabulate(d)(i => new Array[Int](cards(i)))
-    private val live   = new Array[Int](idx.words)
-    private var liveN  = 0
 
     private val prefix    = new Array[Int](d)
     private val best      = new Array[Int](d)
@@ -227,7 +223,6 @@ object GreedyHitter {
       * visit order). Returns `floor` when no combination beats it.
       */
     def best(filter: Array[Long], floor: Int): Int = {
-      liveN = idx.liveWords(filter, live)
       bestCount = floor
       descend(filter, 0)
       bestCount
@@ -247,7 +242,7 @@ object GreedyHitter {
       val ord = order(i)
       var v = 0
       while (v < c) {
-        cs(v) = idx.andInto(filter, i, v, fs(v), live, liveN)
+        cs(v) = idx.andInto(filter, i, v, fs(v))
         v += 1
       }
       sortByCountDesc(ord, cs)

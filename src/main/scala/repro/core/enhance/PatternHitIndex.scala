@@ -20,33 +20,18 @@ final class PatternHitIndex(patterns: IndexedSeq[Pattern], cards: IndexedSeq[Int
   /** A filter with every pattern still unhit. */
   def fullFilter: Array[Long] = bits.allInto(new Array[Long](words))
 
-  /** Write the indices of the non-zero words of `filter` to the front of
-    * `live`; returns how many there are.
+  /** dst = a AND index(i)(v) on the first [[words]] words; returns the
+    * popcount of dst.
     */
-  def liveWords(filter: Array[Long], live: Array[Int]): Int = {
-    var n = 0
-    var w = 0
-    while (w < words) {
-      if (filter(w) != 0L) { live(n) = w; n += 1 }
-      w += 1
-    }
-    n
-  }
-
-  /** dst = a AND index(i)(v) on the words `live(0 until n)`; returns the
-    * popcount of those words of dst. Other words of dst are left untouched,
-    * so the result is exact when `a` is zero outside them.
-    */
-  def andInto(a: Array[Long], i: Int, v: Int, dst: Array[Long], live: Array[Int], n: Int): Int = {
+  def andInto(a: Array[Long], i: Int, v: Int, dst: Array[Long]): Int = {
     val vec = index(i)(v)
     var cnt = 0
-    var k = 0
-    while (k < n) {
-      val w = live(k)
+    var w = 0
+    while (w < words) {
       val x = a(w) & vec(w)
       dst(w) = x
       cnt += java.lang.Long.bitCount(x)
-      k += 1
+      w += 1
     }
     cnt
   }

@@ -16,12 +16,6 @@ import repro.core.{CompressedData, Pattern}
   */
 object SparkCoverage {
 
-  /** Aggregate identical value combinations with one Catalyst `groupBy`.
-    * Output columns are `attrs :+ "cnt"`.
-    */
-  def compress(df: DataFrame, attrs: Seq[String]): DataFrame =
-    df.groupBy(attrs.map(col): _*).agg(count(lit(1)).as("cnt"))
-
   /** The one scan: the (combo, count) pairs of `df` as [[CompressedData]].
     * Attribute columns must be byte, short, int or long, and their values
     * non-NULL codes in `[0, c_i)`; another column type, a NULL or an
@@ -36,7 +30,7 @@ object SparkCoverage {
     * 2 with `c = 2` reads as the next digit); a −1 cell makes the driver
     * fetch one offending row and name its column. Combinations come out in
     * lexicographic order. Above the budget, and when `Π c_i` overflows a
-    * `Long`, the scan is [[compress]]'s `groupBy`, collected.
+    * `Long`, the scan is one `groupBy` over the attribute columns, collected.
     *
     * The Spark job carries a description naming the path taken.
     */
@@ -126,9 +120,9 @@ object SparkCoverage {
     }
   }
 
-  /** The path above the dense budget: [[compress]]'s `groupBy`, collected. */
+  /** The path above the dense budget: one `groupBy` over the attribute columns, collected. */
   private def groupByScan(df: DataFrame, attrs: Seq[String], cards: IndexedSeq[Int]): CompressedData = {
-    val rows = compress(df, attrs).collect()
+    val rows = df.groupBy(attrs.map(col): _*).count().collect()
     new CompressedData(cards, rows.map(checkCodes(_, attrs, cards)), rows.map(_.getLong(attrs.length)))
   }
 

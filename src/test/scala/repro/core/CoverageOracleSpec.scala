@@ -145,6 +145,17 @@ class CoverageOracleSpec extends AnyFunSuite {
     assert(build(Array(1, 2), 0L).total == 1L)
   }
 
+  test("the constructor rejects a cardinality below 1 by a message naming the attribute, on empty data too") {
+    for ((cards, combos, msg) <- Seq(
+           (Vector(2, 0), Array.empty[Array[Int]], "attribute 1 has cardinality 0"),
+           (Vector(0), Array.empty[Array[Int]], "attribute 0 has cardinality 0"),
+           (Vector(3, -1), Array.empty[Array[Int]], "attribute 1 has cardinality -1"),
+           (Vector(3, -1), Array(Array(0, 0)), "attribute 1 has cardinality -1"))) {
+      val e = intercept[IllegalArgumentException](new CompressedData(cards, combos, combos.map(_ => 1L)))
+      assert(e.getMessage.contains(msg), e.getMessage)
+    }
+  }
+
   test("tau(rate) = max(1, ⌊rate · total⌋): 0 gives 1, fractions floor, COMPAS at 0.0015 gives 10") {
     def ofTotal(total: Long) = new CompressedData(Vector(1), Array(Array(0)), Array(total))
     assert(example1.tau(0.0) == 1L)

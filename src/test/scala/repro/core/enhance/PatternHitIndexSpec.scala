@@ -51,12 +51,11 @@ class PatternHitIndexSpec extends AnyFunSuite {
   test("andInto returns the popcount of the intersection") {
     val pats = Vector("0X", "1X", "X0").map(Pattern.parse)
     val idx = new PatternHitIndex(pats, Vector(2, 2))
-    val all = Array.range(0, idx.words)
     val dst = new Array[Long](idx.words)
     // value 0 on attribute 0 keeps 0X and X0
-    assert(idx.andInto(idx.fullFilter, 0, 0, dst, all, idx.words) == 2)
+    assert(idx.andInto(idx.fullFilter, 0, 0, dst) == 2)
     // then value 1 on attribute 1 keeps only 0X
     val dst2 = new Array[Long](idx.words)
-    assert(idx.andInto(dst, 1, 1, dst2, all, idx.words) == 1)
+    assert(idx.andInto(dst, 1, 1, dst2) == 1)
   }
 }

@@ -22,13 +22,19 @@ class SparkCoverageSpec extends SparkSpec {
   private val attrs = CoverageData.compasAttrs
   private val cards = CoverageData.compasCards
 
-  test("compress matches DuckDB GROUP BY (full combo aggregation)") {
-    val compressed = SparkCoverage.compress(compas.select(attrs.map(col): _*), attrs)
-    Oracle.assertEquivalent(
-      compressed,
-      s"SELECT ${attrs.mkString(", ")}, count(*) AS cnt FROM compas GROUP BY ${attrs.mkString(", ")}",
-      "compas" -> compas.select(attrs.map(col): _*),
-    )
+  test("collectCompressed matches DuckDB GROUP BY on both scan paths") {
+    val schema = StructType(attrs.map(StructField(_, IntegerType)) :+ StructField("cnt", LongType))
+    for ((path, data) <- Seq(
+           "dense"   -> SparkCoverage.collectCompressed(compas, attrs, cards),
+           "groupBy" -> viaGroupBy(compas, attrs, cards))) {
+      val rows = data.combos.zip(data.counts).map { case (combo, n) => Row.fromSeq(combo.toSeq :+ n) }
+      // The oracle fails by `require`, which a clue cannot annotate.
+      try Oracle.assertEquivalent(
+        spark.createDataFrame(java.util.Arrays.asList(rows: _*), schema),
+        s"SELECT ${attrs.mkString(", ")}, count(*) AS cnt FROM compas GROUP BY ${attrs.mkString(", ")}",
+        "compas" -> compas.select(attrs.map(col): _*),
+      ) catch { case e: IllegalArgumentException => fail(s"$path path: ${e.getMessage}") }
+    }
   }
 
   test("collectCompressed equals an in-memory aggregation of the same rows") {
